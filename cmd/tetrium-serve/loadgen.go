@@ -201,7 +201,7 @@ submitLoop:
 }
 
 // reportSolverStats scrapes /metrics.txt for the server-side solver
-// picture: placement memo-cache hit rate and LP solver wall time.
+// picture: LP solver wall time and event-loop stalls.
 func reportSolverStats(client *http.Client, base string) error {
 	resp, err := client.Get(base + "/metrics.txt")
 	if err != nil {
@@ -212,12 +212,12 @@ func reportSolverStats(client *http.Client, base string) error {
 		return fmt.Errorf("GET /metrics.txt: %s", resp.Status)
 	}
 	var (
-		hits, misses, solves float64
-		solveCount           int
-		solveMeanNs          float64
-		stallMaxNs           float64
-		stallCount           int
-		stallMeanNs          float64
+		solves      float64
+		solveCount  int
+		solveMeanNs float64
+		stallMaxNs  float64
+		stallCount  int
+		stallMeanNs float64
 
 		// Self-healing picture (PR 10): zero-valued and absent metrics
 		// both read as 0; the health line only prints for supervised
@@ -243,10 +243,6 @@ func reportSolverStats(client *http.Client, base string) error {
 				continue
 			}
 			switch fields[1] {
-			case "engine.place_cache_hits":
-				hits = v
-			case "engine.place_cache_misses":
-				misses = v
 			case "lp.solves":
 				solves = v
 			case "federation.auto_restarts":
@@ -308,13 +304,7 @@ func reportSolverStats(client *http.Client, base string) error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = hits / (hits + misses) * 100
-	}
 	totalMs := solveMeanNs * float64(solveCount) / 1e6
-	fmt.Printf("loadgen: placement cache: %.0f hits / %.0f misses (%.1f%% hit rate)\n",
-		hits, misses, rate)
 	fmt.Printf("loadgen: LP solver: %.0f solves, %.1fms total wall time (mean %.2fms)\n",
 		solves, totalMs, solveMeanNs/1e6)
 	fmt.Printf("loadgen: event-loop stall: max %.2fms, %d stalls ≥ floor (mean %.2fms)\n",

@@ -59,7 +59,9 @@
 // backoff (-restart-backoff sets the first delay), and a shard that
 // keeps flapping is parked by a circuit breaker until an operator
 // restarts it. POST /v1/jobs accepts an Idempotency-Key header making
-// submit retries exactly-once across shard crashes.
+// submit retries exactly-once across shard crashes. -shard-by,
+// -supervise and -restart-backoff set explicitly without -shards > 1
+// exit with status 2 rather than being silently ignored.
 package main
 
 import (
@@ -71,6 +73,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -91,8 +94,6 @@ func main() {
 		timeScale   = flag.Float64("time-scale", 1e-3, "estimated stage seconds → wall seconds (<= 0: instant)")
 		eventsCap   = flag.Int("events-cap", 65536, "retained /debug/events entries")
 		solvers     = flag.Int("solve-workers", 0, "off-loop placement solver pool size (0 = GOMAXPROCS)")
-		cacheSize   = flag.Int("place-cache", 0, "placement memo cache entries (0 = default 4096, negative disables)")
-		batchAdmit  = flag.Int("batch-admit", 0, "queued admissions drained into one scheduling instance (0 = default 8, 1 disables batching)")
 		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound on shutdown")
 		checkRun    = flag.Bool("check", false, "certify every LP solve")
 
@@ -102,7 +103,6 @@ func main() {
 		snapEvery  = flag.Int("snapshot-every", 0, "journal records between snapshot+truncate (0 = 1024)")
 		speculate  = flag.Bool("speculate", false, "launch duplicates of straggling stages; first finish wins")
 		solveDL    = flag.Duration("solve-deadline", 0, "per-stage LP solve bound before greedy fallback (0: none)")
-		replAsync  = flag.Bool("replace-async", false, "run §4.2 re-placement solves off the event loop (async, generation-guarded)")
 
 		analytics   = flag.Bool("analytics", false, "enable the fleet-analytics store and /v1/analytics endpoints")
 		analyticsSP = flag.String("analytics-snap", "", "fleet store snapshot path (empty: no snapshots)")
@@ -111,7 +111,7 @@ func main() {
 		shards    = flag.Int("shards", 1, "engine shards behind the federation router (1 = single engine)")
 		shardBy   = flag.String("shard-by", "hash", "submission partitioning with -shards > 1: hash|site")
 		supervise = flag.Bool("supervise", false, "with -shards > 1: self-healing supervisor (heartbeat probes, auto-restart with backoff, flap breaker)")
-		restartBO = flag.Duration("restart-backoff", 0, "supervisor first restart delay, doubling per failure (0 = 200ms)")
+		restartBO = flag.Duration("restart-backoff", 0, "with -shards > 1: supervisor first restart delay, doubling per failure (0 = 200ms)")
 
 		loadgen = flag.Bool("loadgen", false, "run as load generator against -target")
 		smoke   = flag.Bool("smoke", false, "run the in-process smoke check and exit")
@@ -130,6 +130,22 @@ func main() {
 			os.Exit(1)
 		}
 		return
+	}
+
+	if *shards <= 1 {
+		// These configure the federation router; a single-engine server
+		// would silently ignore them, so an explicit setting is an error.
+		var routerOnly []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "supervise", "restart-backoff", "shard-by":
+				routerOnly = append(routerOnly, "-"+f.Name)
+			}
+		})
+		if len(routerOnly) > 0 {
+			fmt.Fprintf(os.Stderr, "tetrium-serve: %s requires -shards > 1\n", strings.Join(routerOnly, ", "))
+			os.Exit(2)
+		}
 	}
 
 	sched, err := tetrium.ParseScheduler(*schedName)
@@ -156,8 +172,6 @@ func main() {
 		TimeScale:      scale,
 		EventCap:       *eventsCap,
 		SolveWorkers:   *solvers,
-		PlaceCacheSize: *cacheSize,
-		BatchAdmit:     *batchAdmit,
 		Check:          *checkRun,
 		FaultSpec:      *faultSpec,
 		FaultSeed:      *faultSeed,
@@ -165,7 +179,6 @@ func main() {
 		SnapshotEvery:  *snapEvery,
 		Speculate:      *speculate,
 		SolveDeadline:  *solveDL,
-		ReplaceAsync:   *replAsync,
 		Supervise:      *supervise,
 		RestartBackoff: *restartBO,
 

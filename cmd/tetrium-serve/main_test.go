@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -394,21 +395,43 @@ func TestSigtermDrain(t *testing.T) {
 	}
 }
 
-// TestFaultFlagValidation: a bad -fault-spec must fail fast, not start a
-// server with silently-disabled injection.
+// TestFaultFlagValidation: a flag the server cannot honor must fail
+// fast, not start a server that silently ignores it — a bad -fault-spec,
+// and the federation-only flags on a single-engine (-shards 1) server.
 func TestFaultFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	cmd := exec.CommandContext(ctx, os.Args[0], "-addr", "127.0.0.1:0", "-cluster", "paper", "-fault-spec", "crash@nonsense")
-	cmd.Env = append(os.Environ(), "TETRIUM_SERVE_HELPER=1")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("server started despite invalid -fault-spec; output:\n%s", out)
+	cases := []struct {
+		name     string
+		args     []string
+		wantCode int // 0: any non-zero exit
+		wantOut  string
+	}{
+		{"bad-fault-spec", []string{"-fault-spec", "crash@nonsense"}, 0, "fault"},
+		{"supervise", []string{"-supervise"}, 2, "-supervise"},
+		{"supervise-shards-1", []string{"-shards", "1", "-supervise"}, 2, "-supervise"},
+		{"restart-backoff", []string{"-restart-backoff", "1s"}, 2, "-restart-backoff"},
+		{"shard-by", []string{"-shard-by", "site"}, 2, "-shard-by"},
 	}
-	if !strings.Contains(string(out), "fault") {
-		t.Errorf("error output does not mention the fault spec:\n%s", out)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+			defer cancel()
+			args := append([]string{"-addr", "127.0.0.1:0", "-cluster", "paper"}, tc.args...)
+			cmd := exec.CommandContext(ctx, os.Args[0], args...)
+			cmd.Env = append(os.Environ(), "TETRIUM_SERVE_HELPER=1")
+			out, err := cmd.CombinedOutput()
+			var exitErr *exec.ExitError
+			if !errors.As(err, &exitErr) {
+				t.Fatalf("server did not exit with an error (err %v); output:\n%s", err, out)
+			}
+			if tc.wantCode != 0 && exitErr.ExitCode() != tc.wantCode {
+				t.Errorf("exit code %d, want %d; output:\n%s", exitErr.ExitCode(), tc.wantCode, out)
+			}
+			if !strings.Contains(string(out), tc.wantOut) {
+				t.Errorf("error output does not mention %q:\n%s", tc.wantOut, out)
+			}
+		})
 	}
 }

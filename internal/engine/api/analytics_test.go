@@ -168,7 +168,7 @@ func TestAnalyticsEndpoints(t *testing.T) {
 	if len(eff.Tenants) < 2 {
 		t.Errorf("efficiency tenants: %+v", eff.Tenants)
 	}
-	if eff.LPSolves+eff.LPCacheHits == 0 {
+	if eff.LPSolves == 0 {
 		t.Error("efficiency: no LP decisions recorded")
 	}
 

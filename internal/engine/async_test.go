@@ -38,77 +38,13 @@ func metricsText(t *testing.T, e *Engine) string {
 	return string(text)
 }
 
-// TestPlacementMemoCache: an identical job submitted against unchanged
-// capacities must reuse the memoized solve — same placement, Cached
-// event flag, and hit/miss counters in the registry.
-func TestPlacementMemoCache(t *testing.T) {
+// TestEveryPlacementIsASolve: the same job submitted twice, the second
+// time after the first has finished, against unchanged capacities, must
+// be solved twice — every placement is an LP solve against the
+// capacities of the moment, never a reuse of an earlier decision.
+func TestEveryPlacementIsASolve(t *testing.T) {
 	cl := cluster.PaperExample()
 	e := mustEngine(t, testConfig(cl))
-
-	first, err := e.Submit(oneStageJob(1, 6, 5))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitJobDone(t, e, first.ID)
-	second, err := e.Submit(oneStageJob(1, 6, 5))
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitJobDone(t, e, second.ID)
-
-	evs, _, err := e.Events()
-	if err != nil {
-		t.Fatalf("Events: %v", err)
-	}
-	var placements []obs.Placement
-	for _, ev := range evs {
-		if p, ok := ev.(obs.Placement); ok {
-			placements = append(placements, p)
-		}
-	}
-	if len(placements) != 2 {
-		t.Fatalf("placement events = %d, want 2", len(placements))
-	}
-	if placements[0].Cached {
-		t.Errorf("first placement marked cached")
-	}
-	if !placements[1].Cached {
-		t.Errorf("second identical placement not served from the cache")
-	}
-	if len(placements[0].TasksBySite) != len(placements[1].TasksBySite) {
-		t.Fatalf("placement shapes differ")
-	}
-	for i := range placements[0].TasksBySite {
-		if placements[0].TasksBySite[i] != placements[1].TasksBySite[i] {
-			t.Errorf("cached placement differs at site %d: %d vs %d",
-				i, placements[0].TasksBySite[i], placements[1].TasksBySite[i])
-		}
-	}
-
-	text := metricsText(t, e)
-	if !strings.Contains(text, "counter   engine.place_cache_hits 1") {
-		t.Errorf("metrics missing engine.place_cache_hits 1:\n%s", text)
-	}
-	if !strings.Contains(text, "counter   engine.place_cache_misses 1") {
-		t.Errorf("metrics missing engine.place_cache_misses 1:\n%s", text)
-	}
-	// The recorder counts only real LP runs; the cached placement must
-	// not inflate lp.solves.
-	if !strings.Contains(text, "counter   lp.solves 1") {
-		t.Errorf("metrics missing lp.solves 1:\n%s", text)
-	}
-	if !strings.Contains(text, "counter   lp.cache_hits 1") {
-		t.Errorf("metrics missing lp.cache_hits 1:\n%s", text)
-	}
-}
-
-// TestPlaceCacheDisabled: a negative PlaceCacheSize must turn the memo
-// cache off entirely.
-func TestPlaceCacheDisabled(t *testing.T) {
-	cl := cluster.PaperExample()
-	cfg := testConfig(cl)
-	cfg.PlaceCacheSize = -1
-	e := mustEngine(t, cfg)
 
 	for i := 0; i < 2; i++ {
 		st, err := e.Submit(oneStageJob(1, 6, 5))
@@ -117,12 +53,25 @@ func TestPlaceCacheDisabled(t *testing.T) {
 		}
 		waitJobDone(t, e, st.ID)
 	}
-	text := metricsText(t, e)
-	if strings.Contains(text, "engine.place_cache") {
-		t.Errorf("cache counters present with caching disabled:\n%s", text)
+	evs, _, err := e.Events()
+	if err != nil {
+		t.Fatalf("Events: %v", err)
 	}
-	if !strings.Contains(text, "counter   lp.solves 2") {
-		t.Errorf("expected 2 real solves with caching disabled:\n%s", text)
+	placements := 0
+	for _, ev := range evs {
+		if _, ok := ev.(obs.Placement); ok {
+			placements++
+		}
+	}
+	if placements != 2 {
+		t.Fatalf("placement events = %d, want 2", placements)
+	}
+	reg, err := e.MetricsSnapshot()
+	if err != nil {
+		t.Fatalf("MetricsSnapshot: %v", err)
+	}
+	if solves := reg.Counter("lp.solves").Value(); solves != float64(placements) {
+		t.Errorf("lp.solves = %v, want %d (one per Placement event)", solves, placements)
 	}
 }
 
@@ -186,8 +135,8 @@ func TestGenerationGuardDropsStaleSolve(t *testing.T) {
 		t.Errorf("stale solve not dropped:\n%s", text)
 	}
 	// The committed placement must be the re-solve, not the stale one:
-	// exactly one non-cached placement event beyond the dropped solve,
-	// and the job completed.
+	// exactly one placement event (the dropped solve emits none), and
+	// the job completed.
 	evs, _, err := e.Events()
 	if err != nil {
 		t.Fatalf("Events: %v", err)

@@ -16,8 +16,8 @@ import (
 // BenchmarkEngineSubmit measures the submit-to-terminal cost of the
 // serving path with instant stage completion (TimeScale 0): admission,
 // placement solves, SRPT ordering, dispatch, and completion
-// bookkeeping. Submissions rotate through a small set of distinct jobs,
-// the loadgen-like steady state the placement memo cache targets.
+// bookkeeping. Submissions rotate through a small set of distinct jobs;
+// every submission solves its placements afresh.
 func BenchmarkEngineSubmit(b *testing.B) {
 	cl := cluster.EC2EightRegions()
 	e, err := New(Config{
@@ -58,9 +58,8 @@ func BenchmarkEngineSubmit(b *testing.B) {
 
 // BenchmarkEngineReplace measures the §4.2 re-placement path: a fleet of
 // jobs is held running by a large TimeScale while cluster updates force
-// replaceAll to re-solve every live placement synchronously on the loop.
-// The memo cache is disabled so each update pays real LP solves — the
-// hot path basis warm-starting targets.
+// the dirty stages to re-solve synchronously on the loop. Each update
+// pays real LP solves — the hot path basis warm-starting targets.
 func BenchmarkEngineReplace(b *testing.B) {
 	cl := cluster.EC2EightRegions()
 	e, err := New(Config{
@@ -72,8 +71,7 @@ func BenchmarkEngineReplace(b *testing.B) {
 		MaxPending: 1 << 30,
 		// Stages stay running across the whole measurement; re-placement
 		// is only exercised on live placements.
-		TimeScale:      3600,
-		PlaceCacheSize: -1,
+		TimeScale: 3600,
 	})
 	if err != nil {
 		b.Fatalf("New: %v", err)
@@ -86,27 +84,23 @@ func BenchmarkEngineReplace(b *testing.B) {
 			b.Fatalf("Submit: %v", err)
 		}
 	}
-	// Wait for the async admission solves to commit: every job running
-	// means every map stage has a live placement for replaceAll to touch.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		js, err := e.Jobs()
-		if err != nil {
-			b.Fatalf("Jobs: %v", err)
+	// Wait for the async admission solves to commit. Jobs that arrive
+	// once every slot is held stay unplaced (a pass with no free slot
+	// places nothing), so the measurement covers the live placements of
+	// the jobs that launched.
+	quiesceLoop(b, e)
+	js, err := e.Jobs()
+	if err != nil {
+		b.Fatalf("Jobs: %v", err)
+	}
+	running := 0
+	for _, j := range js {
+		if j.Phase == JobRunning {
+			running++
 		}
-		running := 0
-		for _, j := range js {
-			if j.Phase == JobRunning {
-				running++
-			}
-		}
-		if running == len(jobs) {
-			break
-		}
-		if time.Now().After(deadline) {
-			b.Fatalf("placements did not settle: %d/%d running", running, len(jobs))
-		}
-		time.Sleep(time.Millisecond)
+	}
+	if running == 0 {
+		b.Fatal("no job holds a live placement to re-place")
 	}
 
 	b.ReportAllocs()
@@ -120,21 +114,18 @@ func BenchmarkEngineReplace(b *testing.B) {
 	b.StopTimer()
 }
 
-// benchBurstSubmit is the shared body of the burst-admission benchmarks:
-// concurrent submitters slam the admission path (cache disabled, instant
-// completion), so the cost measured is admission + placement solve +
-// dispatch under contention.
-func benchBurstSubmit(b *testing.B, batchAdmit int) {
+// BenchmarkEngineBurstSubmit: concurrent submitters slam the admission
+// path (instant completion), so the cost measured is admission +
+// placement solve + dispatch under contention.
+func BenchmarkEngineBurstSubmit(b *testing.B) {
 	cl := cluster.EC2EightRegions()
 	cfg := Config{
-		Cluster:        cl,
-		Placer:         place.Tetrium{},
-		Policy:         sched.SRPT,
-		Rho:            1,
-		Eps:            1,
-		MaxPending:     1 << 30,
-		PlaceCacheSize: -1,
-		BatchAdmit:     batchAdmit,
+		Cluster:    cl,
+		Placer:     place.Tetrium{},
+		Policy:     sched.SRPT,
+		Rho:        1,
+		Eps:        1,
+		MaxPending: 1 << 30,
 	}
 	e, err := New(cfg)
 	if err != nil {
@@ -170,11 +161,3 @@ func benchBurstSubmit(b *testing.B, batchAdmit int) {
 		b.Fatalf("Drain: %v", err)
 	}
 }
-
-// BenchmarkEngineBurstSubmit runs the burst workload with the default
-// batched admission path.
-func BenchmarkEngineBurstSubmit(b *testing.B) { benchBurstSubmit(b, 0) }
-
-// BenchmarkEngineBurstSubmitNoBatch pins BatchAdmit to 1 (one admission
-// per scheduling instance) — the batch-off control.
-func BenchmarkEngineBurstSubmitNoBatch(b *testing.B) { benchBurstSubmit(b, 1) }

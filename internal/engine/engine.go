@@ -22,8 +22,11 @@
 // loop. A resource-generation counter guards the commit: if a §4.2
 // cluster update landed while the LP was solving, the stale result is
 // dropped and the solve re-dispatched against the fresh capacities.
-// Repeated (Resources, request) pairs skip the LP entirely via a
-// canonical-signature memo cache (Config.PlaceCacheSize).
+// There is one solve path and no memo: each admitted stage gets one
+// pool task, warm-started from a clone of the stage's own previous
+// basis, and a §4.2 cluster update re-solves the affected (dirty)
+// stages synchronously on the loop in impact order, warm-started the
+// same way (replace.go).
 //
 // Execution model: the engine is a scheduler, not an executor. When a
 // stage is dispatched it holds the slots its placement demands and
@@ -101,17 +104,6 @@ type Config struct {
 	// SolveWorkers sizes the pool that runs placement LP solves off the
 	// event loop. ≤ 0 uses GOMAXPROCS.
 	SolveWorkers int
-	// PlaceCacheSize bounds the placement memo cache in entries; repeated
-	// (Resources, request) pairs reuse the memoized solve. 0 means the
-	// default (4096); negative disables caching.
-	PlaceCacheSize int
-	// BatchAdmit bounds how many queued requests the event loop drains
-	// into one scheduling instance: the pass takes a single capacity
-	// snapshot and solves every uncached placement it produced as one
-	// batch on the worker pool, warm-starting across batch members with
-	// the same stage shape. 0 means the default (8); 1 solves one
-	// admission per instance (the pre-batching behavior).
-	BatchAdmit int
 	// TimeScale converts a stage's LP-estimated seconds into wall-clock
 	// run time. ≤ 0 completes stages immediately.
 	TimeScale float64
@@ -144,21 +136,14 @@ type Config struct {
 	// Default 95.
 	SpecPercentile float64
 	// SolveDeadline bounds how long a stage waits on its async LP solve
-	// before falling back to the greedy in-place baseline (never
-	// cached; upgraded if the real solve lands before launch). 0
-	// disables the deadline.
+	// before falling back to the greedy in-place baseline (upgraded if
+	// the real solve lands before launch). 0 disables the deadline.
 	SolveDeadline time.Duration
 	// SolveRetries bounds how many times a deadlined solve is
 	// re-dispatched with jittered backoff. Default 2; negative
 	// disables retries.
 	SolveRetries int
 
-	// ReplaceAsync pushes §4.2 re-placement solves through the worker
-	// pool instead of solving them synchronously on the event loop: a
-	// cluster update returns after dispatching the dirty set, and each
-	// re-solve commits as it lands (resource-generation guarded, with a
-	// bounded-staleness sync fallback). Drain runs stay synchronous.
-	ReplaceAsync bool
 	// ReplaceFull disables the dirty-set optimization and re-solves
 	// every live placement on a §4.2 change — the pre-incremental
 	// behavior, kept as the differential-testing oracle.
@@ -224,15 +209,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.SolveWorkers <= 0 {
 		cfg.SolveWorkers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.PlaceCacheSize == 0 {
-		cfg.PlaceCacheSize = 4096
-	}
-	if cfg.BatchAdmit == 0 {
-		cfg.BatchAdmit = 8
-	}
-	if cfg.BatchAdmit < 1 {
-		cfg.BatchAdmit = 1
 	}
 	if cfg.SpecPercentile <= 0 || cfg.SpecPercentile > 100 {
 		cfg.SpecPercentile = 95

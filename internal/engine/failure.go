@@ -13,7 +13,7 @@ package engine
 //     tail latency at bounded extra load).
 //   - Wedged LP solves: each async solve races Config.SolveDeadline;
 //     on expiry the stage is placed by the greedy in-place baseline
-//     (flagged, never cached) and the real solve is retried with
+//     (flagged Deadline) and the real solve is retried with
 //     jittered backoff, upgrading the placement if it lands before
 //     launch.
 //   - Process death: admissions/placements/completions are journaled
@@ -282,7 +282,7 @@ func (s *state) cancelSpec(sr *stageRun) {
 // greedy in-place baseline and the LP is retried with jittered backoff
 // (bounded by Config.SolveRetries). Caller has set sr.solving and bumped
 // sr.solveSeq.
-func (s *state) dispatchSolve(js *jobState, sr *stageRun, pr placeRequest, key placeKey, attempt int) {
+func (s *state) dispatchSolve(js *jobState, sr *stageRun, pr placeRequest, attempt int) {
 	seq := sr.solveSeq
 	gen := s.resGen
 	res := place.Resources{
@@ -319,7 +319,7 @@ func (s *state) dispatchSolve(js *jobState, sr *stageRun, pr placeRequest, key p
 			if seq == sr.solveSeq {
 				sr.warm = warm
 			}
-			s.commitPlacement(js, sr, pr, key, gen, seq, r, fb, nanos)
+			s.commitPlacement(js, sr, pr, gen, seq, r, fb, nanos)
 		})
 	})
 	if deadline := s.e.cfg.SolveDeadline; deadline > 0 {
@@ -350,9 +350,7 @@ func (s *state) solveDeadline(js *jobState, sr *stageRun, pr placeRequest, gen, 
 		}
 	}
 	s.rec.Registry().Counter("engine.solves_deadline_fallback").Inc()
-	// Deadline placements are never cached: they are an emergency
-	// stopgap, not the placer's answer for this signature.
-	s.applyPlacement(js, sr, pr, r, false, false, false, true, time.Since(t0).Nanoseconds())
+	s.applyPlacement(js, sr, pr, r, false, false, true, time.Since(t0).Nanoseconds())
 	s.scheduleSoon()
 
 	if attempt < s.e.cfg.SolveRetries {
@@ -368,11 +366,7 @@ func (s *state) solveDeadline(js *jobState, sr *stageRun, pr placeRequest, gen, 
 				if sr.solveSeq != newSeq || js.terminal() || sr.phase != stageReady || !sr.deadlineFB {
 					return
 				}
-				var key placeKey
-				if s.cache != nil {
-					key = s.requestKey(pr)
-				}
-				s.dispatchSolve(js, sr, pr, key, attempt+1)
+				s.dispatchSolve(js, sr, pr, attempt+1)
 			})
 		})
 	}

@@ -168,7 +168,6 @@ func TestSpeculationRescues(t *testing.T) {
 func TestSolveDeadlineFallback(t *testing.T) {
 	cl := cluster.PaperExample()
 	cfg := testConfig(cl)
-	cfg.PlaceCacheSize = -1 // no cache: every placement needs a (stalled) solve
 	cfg.SolveDeadline = 20 * time.Millisecond
 	cfg.Faults = mustInjector(t, "stall:every=1,dur=2s", 1)
 	e := mustEngine(t, cfg)
@@ -288,7 +287,6 @@ func TestChaosEngine(t *testing.T) {
 	cfg := testConfig(cl)
 	cfg.TimeScale = 0.03
 	cfg.UpdateK = 3
-	cfg.PlaceCacheSize = -1 // force live solves so stalls and deadlines bite
 	cfg.Speculate = true
 	cfg.SolveDeadline = 15 * time.Millisecond
 	cfg.Faults = mustInjector(t,

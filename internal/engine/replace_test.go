@@ -11,8 +11,8 @@ package engine
 //   - The index-invariant checker recomputes the ready/running/site
 //     indexes from scratch and compares them with the incrementally
 //     maintained ones.
-//   - The hammer runs ReplaceAsync under concurrent submits, updates,
-//     and reads (meant for -race).
+//   - The hammer runs the synchronous dirty-set path under concurrent
+//     submits, updates, and reads (meant for -race).
 //   - The alloc guard pins the steady-state schedule() pass — populated
 //     ready index, saturated cluster — at zero allocations.
 
@@ -30,30 +30,28 @@ import (
 )
 
 // diffConfig is the deterministic single-file configuration both
-// differential engines share: one solve worker, no admission batching,
-// no placement cache, and a time scale so large nothing completes
-// mid-test (stages hold their slots, so §4.2 always has live work).
+// differential engines share: one solve worker and a time scale so
+// large nothing completes mid-test (stages hold their slots, so §4.2
+// always has live work).
 func diffConfig(cl *cluster.Cluster, full bool) Config {
 	cfg := testConfig(cl)
 	cfg.TimeScale = 1e6
-	cfg.BatchAdmit = 1
 	cfg.SolveWorkers = 1
-	cfg.PlaceCacheSize = -1
 	cfg.UpdateK = 2
 	cfg.ReplaceFull = full
 	return cfg
 }
 
-// quiesceLoop polls until the engine has no scheduling pass queued, no
-// solve in flight, and no async re-placement outstanding.
-func quiesceLoop(t *testing.T, e *Engine) {
+// quiesceLoop polls until the engine has no scheduling pass queued and
+// no solve in flight.
+func quiesceLoop(t testing.TB, e *Engine) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		idle := false
 		err := e.do(func() {
 			s := e.st
-			idle = !s.schedQueued && s.replaceInflight == 0 && len(s.todo) == 0
+			idle = !s.schedQueued && len(s.todo) == 0
 			if !idle {
 				return
 			}
@@ -281,15 +279,15 @@ func TestIncrementalEqualsFullDifferential(t *testing.T) {
 	step("restore-1", inject(fault.Fault{Kind: fault.LinkRestore, Site: 1}))
 }
 
-// TestReplaceUpdateHammer drives ReplaceAsync with concurrent submits,
-// cluster updates (shrinks and grows), and status reads. Run under
+// TestReplaceUpdateHammer drives dirty-set §4.2 re-placement with
+// concurrent submits, cluster updates (shrinks and grows), and status
+// reads. Run under
 // -race this exercises the index bookkeeping against the full API
 // surface; every admitted job must still reach a terminal state.
 func TestReplaceUpdateHammer(t *testing.T) {
 	cl := cluster.EC2EightRegions()
 	cfg := testConfig(cl)
 	cfg.TimeScale = 0.002
-	cfg.ReplaceAsync = true
 	cfg.UpdateK = 2
 	e := mustEngine(t, cfg)
 

@@ -1,108 +1,13 @@
 package engine
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"tetrium/internal/cluster"
 	"tetrium/internal/place"
-	"tetrium/internal/workload"
 )
-
-// batchJobs builds distinct-shape single-stage jobs (different input
-// sites and task counts), so every placement solve is its own LP shape.
-func batchJobs(n int) []*workload.Job {
-	jobs := make([]*workload.Job, 6)
-	for i := range jobs {
-		j := oneStageJob(i%n, 4+i, float64(3+i))
-		j.Name = fmt.Sprintf("batch-%d", i)
-		jobs[i] = j
-	}
-	return jobs
-}
-
-// placementsByName drains the engine and returns each job's final
-// per-site task assignment keyed by job name.
-func placementsByName(t *testing.T, e *Engine) map[string][]int {
-	t.Helper()
-	drainOK(t, e)
-	js, err := e.Jobs()
-	if err != nil {
-		t.Fatalf("Jobs: %v", err)
-	}
-	out := make(map[string][]int, len(js))
-	for _, j := range js {
-		detail, err := e.Job(j.ID)
-		if err != nil {
-			t.Fatalf("Job(%d): %v", j.ID, err)
-		}
-		if len(detail.Stages) == 0 {
-			t.Fatalf("job %q has no stage detail", j.Name)
-		}
-		out[j.Name] = detail.Stages[0].TasksBySite
-	}
-	return out
-}
-
-// TestBatchAdmitMatchesSequential: batched admission (BatchAdmit=8) must
-// produce exactly the placements sequential admission (BatchAdmit=1)
-// does — batching and warm-starting change solve latency, never the
-// decision. Distinct job shapes keep every batch group a singleton, so
-// the comparison is deterministic.
-func TestBatchAdmitMatchesSequential(t *testing.T) {
-	cl := cluster.PaperExample()
-	run := func(batchAdmit int, parallelSubmit bool) map[string][]int {
-		cfg := testConfig(cl)
-		cfg.BatchAdmit = batchAdmit
-		cfg.MaxPending = 1 << 20
-		e := mustEngine(t, cfg)
-		jobs := batchJobs(cl.N())
-		if parallelSubmit {
-			errs := make(chan error, len(jobs))
-			for _, j := range jobs {
-				j := j
-				go func() {
-					_, err := e.Submit(j)
-					errs <- err
-				}()
-			}
-			for range jobs {
-				if err := <-errs; err != nil {
-					t.Fatalf("Submit: %v", err)
-				}
-			}
-		} else {
-			for _, j := range jobs {
-				if _, err := e.Submit(j); err != nil {
-					t.Fatalf("Submit: %v", err)
-				}
-			}
-		}
-		return placementsByName(t, e)
-	}
-
-	sequential := run(1, false)
-	batched := run(8, true)
-	if len(batched) != len(sequential) {
-		t.Fatalf("job counts differ: batched %d vs sequential %d", len(batched), len(sequential))
-	}
-	for name, want := range sequential {
-		got, ok := batched[name]
-		if !ok {
-			t.Fatalf("job %q missing from batched run", name)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("job %q: placement length %d vs %d", name, len(got), len(want))
-		}
-		for x := range want {
-			if got[x] != want[x] {
-				t.Errorf("job %q site %d: batched placed %d tasks, sequential %d", name, x, got[x], want[x])
-			}
-		}
-	}
-}
 
 // TestWarmStartOnReplace: repeated §4.2 updates re-solve the same live
 // stage shape synchronously on the loop — from the second re-solve on,
@@ -114,7 +19,6 @@ func TestWarmStartOnReplace(t *testing.T) {
 	cfg := testConfig(cl)
 	cfg.Placer = place.Tetrium{Check: true}
 	cfg.TimeScale = 3600 // keep the stage running across updates
-	cfg.PlaceCacheSize = -1
 	e := mustEngine(t, cfg)
 
 	st, err := e.Submit(oneStageJob(1, 8, 5))
@@ -132,31 +36,6 @@ func TestWarmStartOnReplace(t *testing.T) {
 	text := metricsText(t, e)
 	if !strings.Contains(text, "counter   engine.solves_warm_started") {
 		t.Errorf("no warm-started solves after repeated re-placements:\n%s", text)
-	}
-}
-
-// TestPlaceCachePutNonPositiveCapacity is the regression test for the
-// eviction hang: put on a cache with capacity <= 0 used to spin forever
-// (size > capacity stays true once the ring is empty, and evictOldest
-// no-ops on an empty ring). The watchdog turns a regression into a test
-// failure instead of a stuck suite.
-func TestPlaceCachePutNonPositiveCapacity(t *testing.T) {
-	for _, capacity := range []int{-1, 0} {
-		done := make(chan struct{})
-		go func() {
-			c := newPlaceCache(capacity)
-			for i := 0; i < 3; i++ {
-				b := newKeyBuilder(2)
-				b.int(i)
-				c.put(b.key(), placeResult{tasks: []int{i}})
-			}
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("placeCache.put hangs with capacity %d", capacity)
-		}
 	}
 }
 
@@ -269,7 +148,6 @@ func TestCloseCountsDroppedSolves(t *testing.T) {
 	}
 	cfg.Placer = gp
 	cfg.SolveWorkers = 1
-	cfg.BatchAdmit = 1
 	e := mustEngine(t, cfg)
 
 	if _, err := e.Submit(oneStageJob(0, 6, 5)); err != nil {

@@ -183,10 +183,8 @@ type stageRun struct {
 	outBySite   []float64 // where this stage's output landed
 
 	// Incremental §4.2 state (index.go, replace.go).
-	dataSites    []bool // sites whose capacity perturbs this stage's LP input
-	idxSites     []bool // current stageSites membership
-	replaceSeq   int    // latest async re-place attempt (supersede guard)
-	replaceDrops int    // consecutive re-places invalidated by newer updates
+	dataSites []bool // sites whose capacity perturbs this stage's LP input
+	idxSites  []bool // current stageSites membership
 
 	// warm carries the simplex basis of this stage's latest placement so
 	// re-solves (§4.2 re-placements, deadline retries) skip phase 1.
@@ -221,8 +219,7 @@ type state struct {
 	schedQueued bool
 	instSeq     int
 
-	cache  *placeCache // placement memo cache (nil when disabled)
-	resGen int         // bumped on every cluster update; stale-solve guard
+	resGen int // bumped on every cluster update; stale-solve guard
 
 	// Incremental scheduling indexes (index.go): the ready-job set
 	// sorted by arrival, the running-stage set, and the site→stage
@@ -232,10 +229,6 @@ type state struct {
 	stageSites    []map[*stageRun]struct{}
 	placedLive    map[*stageRun]struct{}
 	touchScratch  []bool
-
-	// Async §4.2 re-placement (replace.go).
-	replaceInflight  int
-	gReplaceInflight *obs.Gauge
 
 	// Event-loop occupancy instrumentation (engine.go loop): the gauge
 	// tracks the max busy interval ever; the histogram samples only
@@ -250,11 +243,6 @@ type state struct {
 	candScratch  []schedCand
 	stageScratch []*stageRun
 
-	// pendingBatch collects the async placement solves one scheduling
-	// pass produced; flushBatch ships them to the worker pool as grouped
-	// batch tasks (one capacity snapshot, warm-starting within a group).
-	pendingBatch []batchItem
-
 	// Failure domain (failure.go).
 	restoring  bool        // journal replay in progress; skip re-journaling
 	solveCount int         // async solves dispatched (drives injected stalls)
@@ -267,34 +255,28 @@ func newState(e *Engine) *state {
 	cl := e.cfg.Cluster
 	rec := obs.NewRecorder()
 	rec.KeepEvents = false // the state keeps its own bounded buffer
-	var cache *placeCache
-	if e.cfg.PlaceCacheSize > 0 {
-		cache = newPlaceCache(e.cfg.PlaceCacheSize)
-	}
 	n := cl.N()
 	sites := make([]map[*stageRun]struct{}, n)
 	for i := range sites {
 		sites[i] = make(map[*stageRun]struct{})
 	}
 	return &state{
-		cache:            cache,
-		e:                e,
-		n:                n,
-		capSlots:         cl.Slots(),
-		free:             cl.Slots(),
-		upBW:             cl.UpBW(),
-		downBW:           cl.DownBW(),
-		jobs:             make(map[int]*jobState),
-		idemKeys:         make(map[string]int),
-		rec:              rec,
-		rng:              rand.New(rand.NewSource(1)), // jitter only; determinism beats entropy
-		runningStages:    make(map[*stageRun]struct{}),
-		stageSites:       sites,
-		placedLive:       make(map[*stageRun]struct{}),
-		touchScratch:     make([]bool, n),
-		gReplaceInflight: rec.Registry().Gauge("engine.replace_inflight"),
-		gLoopStall:       rec.Registry().Gauge("engine.loop_stall_max_ns"),
-		hLoopStall:       rec.Registry().Histogram("engine.loop_stall_ns", 1e5, 2, 24),
+		e:             e,
+		n:             n,
+		capSlots:      cl.Slots(),
+		free:          cl.Slots(),
+		upBW:          cl.UpBW(),
+		downBW:        cl.DownBW(),
+		jobs:          make(map[int]*jobState),
+		idemKeys:      make(map[string]int),
+		rec:           rec,
+		rng:           rand.New(rand.NewSource(1)), // jitter only; determinism beats entropy
+		runningStages: make(map[*stageRun]struct{}),
+		stageSites:    sites,
+		placedLive:    make(map[*stageRun]struct{}),
+		touchScratch:  make([]bool, n),
+		gLoopStall:    rec.Registry().Gauge("engine.loop_stall_max_ns"),
+		hLoopStall:    rec.Registry().Histogram("engine.loop_stall_ns", 1e5, 2, 24),
 	}
 }
 
@@ -378,27 +360,12 @@ func (s *state) accrueSlots(sr *stageRun) {
 }
 
 // scheduleSoon queues one coalesced scheduling pass on the todo queue.
-// With batched admission the pass first drains up to BatchAdmit−1
-// already-queued external requests, so a burst of submissions shares
-// one scheduling instance — one capacity snapshot, one solve batch —
-// instead of paying a full pass each.
 func (s *state) scheduleSoon() {
 	if s.schedQueued {
 		return
 	}
 	s.schedQueued = true
 	s.todo = append(s.todo, func() {
-		if k := s.e.cfg.BatchAdmit; k > 1 {
-		drain:
-			for i := 0; i < k-1; i++ {
-				select {
-				case fn := <-s.e.reqs:
-					fn()
-				default:
-					break drain
-				}
-			}
-		}
 		s.schedQueued = false
 		s.schedule()
 	})
@@ -523,16 +490,14 @@ func (s *state) schedule() {
 	freeAtStart := totalFree
 
 	launched := 0
-	solves, hits := 0, 0
+	solves := 0
 	infos := make([]sched.JobInfo, len(cands))
 	remTasks := make([]int, len(cands))
 	for i, c := range cands {
 		est := 0.0
 		for _, sr := range arena[c.lo:c.hi] {
 			if !sr.placed {
-				sv, ht := s.ensurePlacement(c.js, sr, false)
-				solves += sv
-				hits += ht
+				solves += s.ensurePlacement(c.js, sr, false)
 			}
 			if sr.est > est {
 				est = sr.est
@@ -571,11 +536,10 @@ func (s *state) schedule() {
 		}
 	}
 	s.candScratch, s.stageScratch = cands[:0], arena[:0]
-	s.flushBatch()
 	s.emit(obs.SchedInstance{
 		T: s.now(), Seq: s.instSeq, Considered: len(cands),
 		Order: orderIDs, FreeSlots: freeAtStart, Launched: launched,
-		LPSolves: solves, CacheHits: hits,
+		LPSolves:  solves,
 		WallNanos: time.Since(started).Nanoseconds(),
 	})
 }
@@ -588,6 +552,14 @@ type placeRequest struct {
 	rreq place.ReduceRequest
 }
 
+// placeResult is the outcome of one placement solve.
+type placeResult struct {
+	tasks      []int
+	estNet     float64
+	estCompute float64
+	wan        float64
+}
+
 func (pr placeRequest) numTasks() int {
 	if pr.kind == "map" {
 		return pr.mreq.NumTasks
@@ -596,56 +568,13 @@ func (pr placeRequest) numTasks() int {
 }
 
 // setWarm points the request at a warm-start state for the placer to
-// use. Never reflected in requestKey: a warm start changes solve speed,
-// not the placement, so cache signatures ignore it.
+// use. A warm start changes solve speed, never the placement.
 func (pr *placeRequest) setWarm(w *place.WarmState) {
 	if pr.kind == "map" {
 		pr.mreq.Warm = w
 	} else {
 		pr.rreq.Warm = w
 	}
-}
-
-// shapeKey fingerprints the dimensions of the LP this request builds:
-// stage kind, which sites hold data (the zero pattern decides which
-// rows and columns exist), and whether a WAN-budget row is present.
-// Requests with equal shapeKeys very likely build identically-shaped
-// LPs, so chaining one warm basis through them pays off; a mismatch
-// only costs the warm attempt's fallback to phase 1.
-func (pr placeRequest) shapeKey() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	var data []float64
-	var budget float64
-	if pr.kind == "map" {
-		mix(0)
-		data = pr.mreq.InputBySite
-		budget = pr.mreq.WANBudget
-	} else {
-		mix(1)
-		data = pr.rreq.InterBySite
-		budget = pr.rreq.WANBudget
-	}
-	for _, v := range data {
-		if v > 0 {
-			mix(1)
-		} else {
-			mix(0)
-		}
-	}
-	if budget >= 0 {
-		mix(1)
-	} else {
-		mix(0)
-	}
-	return h
 }
 
 // buildRequest snapshots a stage's placement inputs. The data vectors
@@ -673,32 +602,6 @@ func (s *state) buildRequest(sr *stageRun) placeRequest {
 		WANBudget:   place.WANBudget(s.e.cfg.Rho, place.ReduceBudget, inter),
 		OutputBytes: sr.spec.TotalOutput(),
 	}}
-}
-
-// requestKey builds the canonical cache signature of a solve: current
-// capacities plus every request field, in a fixed order.
-func (s *state) requestKey(pr placeRequest) placeKey {
-	b := newKeyBuilder(4*s.n + 8)
-	b.int(s.n)
-	b.ints(s.capSlots)
-	b.floats(s.upBW)
-	b.floats(s.downBW)
-	if pr.kind == "map" {
-		b.int(0)
-		b.floats(pr.mreq.InputBySite)
-		b.int(pr.mreq.NumTasks)
-		b.float(pr.mreq.TaskCompute)
-		b.float(pr.mreq.WANBudget)
-		b.float(pr.mreq.OutputBytes)
-	} else {
-		b.int(1)
-		b.floats(pr.rreq.InterBySite)
-		b.int(pr.rreq.NumTasks)
-		b.float(pr.rreq.TaskCompute)
-		b.float(pr.rreq.WANBudget)
-		b.float(pr.rreq.OutputBytes)
-	}
-	return b.key()
 }
 
 // solveRequest runs one placement LP. It touches no loop state — only
@@ -744,7 +647,7 @@ const maxStaleDrops = 2
 
 // applyPlacement commits a solve result to the stage and emits the
 // Placement event. Always runs on the loop.
-func (s *state) applyPlacement(js *jobState, sr *stageRun, pr placeRequest, r placeResult, fallback, cached, restamp, deadline bool, solveNanos int64) {
+func (s *state) applyPlacement(js *jobState, sr *stageRun, pr placeRequest, r placeResult, fallback, restamp, deadline bool, solveNanos int64) {
 	sr.staleDrops = 0
 	sr.deadlineFB = deadline
 	sr.tasks = append([]int(nil), r.tasks...)
@@ -758,7 +661,7 @@ func (s *state) applyPlacement(js *jobState, sr *stageRun, pr placeRequest, r pl
 		Placer: s.e.cfg.Placer.Name(), Pending: pr.numTasks(),
 		EstNet: sr.estNet, EstCompute: sr.estCompute, Est: sr.est,
 		TasksBySite: append([]int(nil), sr.tasks...),
-		Fallback:    fallback, Restamp: restamp, Cached: cached, Deadline: deadline,
+		Fallback:    fallback, Restamp: restamp, Deadline: deadline,
 		SolveNanos: solveNanos,
 	})
 	if js.placed.IsZero() {
@@ -778,9 +681,9 @@ func (s *state) applyPlacement(js *jobState, sr *stageRun, pr placeRequest, r pl
 }
 
 // ensurePlacement (re)computes a stage's placement against current
-// capacities. The memo cache is consulted first; a hit commits
-// synchronously. On a miss the LP solve is dispatched to the worker
-// pool with a snapshot of the capacities and the current resource
+// capacities. There is no memo: every call solves the LP against the
+// capacities of the moment. The solve is dispatched to the worker pool
+// with a snapshot of the capacities and the current resource
 // generation — the loop never blocks on a solve — and the placement is
 // committed when the solve re-enters the loop, unless the generation
 // moved (a §4.2 update landed mid-solve), in which case the stale
@@ -789,22 +692,12 @@ func (s *state) applyPlacement(js *jobState, sr *stageRun, pr placeRequest, r pl
 // force re-solves even when a placement exists (the §4.2 re-place
 // path); that path stays synchronous — updateCluster must report how
 // many stages it re-placed — and marks the emitted event Restamp.
-// Returns (LP solves started, cache hits), each 0 or 1.
-func (s *state) ensurePlacement(js *jobState, sr *stageRun, force bool) (solves, hits int) {
+// Returns the number of LP solves started (0 or 1).
+func (s *state) ensurePlacement(js *jobState, sr *stageRun, force bool) int {
 	if (sr.placed && !force) || sr.solving {
-		return 0, 0
+		return 0
 	}
 	pr := s.buildRequest(sr)
-	var key placeKey
-	if s.cache != nil {
-		key = s.requestKey(pr)
-		if r, ok := s.cache.get(key); ok {
-			s.rec.Registry().Counter("engine.place_cache_hits").Inc()
-			s.applyPlacement(js, sr, pr, r, false, true, force, false, 0)
-			return 0, 1
-		}
-		s.rec.Registry().Counter("engine.place_cache_misses").Inc()
-	}
 	// Synchronous solves: the §4.2 re-place path (force), and stages
 	// whose async solves keep getting invalidated by a rapid stream of
 	// cluster updates — solving on the loop is the only way to guarantee
@@ -813,7 +706,7 @@ func (s *state) ensurePlacement(js *jobState, sr *stageRun, force bool) (solves,
 		t0 := time.Now()
 		res := place.Resources{Slots: s.capSlots, UpBW: s.upBW, DownBW: s.downBW}
 		// Loop-owned, so the stage's warm state is used in place: a §4.2
-		// replaceAll re-solves the exact same stage shape against drifted
+		// re-solve is the exact same stage shape against drifted
 		// capacities — the warm start's best case.
 		if sr.warm == nil {
 			sr.warm = place.NewWarmState()
@@ -821,23 +714,13 @@ func (s *state) ensurePlacement(js *jobState, sr *stageRun, force bool) (solves,
 		pr.setWarm(sr.warm)
 		r, fb := solveRequest(s.e.cfg.Placer, res, pr)
 		s.noteWarmStats(sr.warm)
-		s.applyPlacement(js, sr, pr, r, fb, false, force, false, time.Since(t0).Nanoseconds())
-		if s.cache != nil && !fb {
-			s.cache.put(key, r)
-		}
-		return 1, 0
+		s.applyPlacement(js, sr, pr, r, fb, force, false, time.Since(t0).Nanoseconds())
+		return 1
 	}
 	sr.solving = true
 	sr.solveSeq++
-	if s.e.cfg.BatchAdmit > 1 {
-		// Deferred to the end of the scheduling pass: flushBatch ships
-		// every solve this pass produced to the pool as grouped batch
-		// tasks sharing one capacity snapshot.
-		s.pendingBatch = append(s.pendingBatch, batchItem{js: js, sr: sr, pr: pr, key: key, seq: sr.solveSeq})
-		return 1, 0
-	}
-	s.dispatchSolve(js, sr, pr, key, 0)
-	return 1, 0
+	s.dispatchSolve(js, sr, pr, 0)
+	return 1
 }
 
 // noteWarmStats drains a warm state's solve-outcome counters into the
@@ -854,7 +737,7 @@ func (s *state) noteWarmStats(w *place.WarmState) {
 
 // commitPlacement lands an off-loop solve back on the loop. seq guards
 // against superseded solve attempts (deadline retries, failure.go).
-func (s *state) commitPlacement(js *jobState, sr *stageRun, pr placeRequest, key placeKey, gen, seq int, r placeResult, fallback bool, nanos int64) {
+func (s *state) commitPlacement(js *jobState, sr *stageRun, pr placeRequest, gen, seq int, r placeResult, fallback bool, nanos int64) {
 	if seq != sr.solveSeq {
 		return // a retry superseded this attempt
 	}
@@ -881,115 +764,8 @@ func (s *state) commitPlacement(js *jobState, sr *stageRun, pr placeRequest, key
 		s.scheduleSoon()
 		return
 	}
-	s.applyPlacement(js, sr, pr, r, fallback, false, false, false, nanos)
-	if s.cache != nil && !fallback {
-		s.cache.put(key, r)
-	}
+	s.applyPlacement(js, sr, pr, r, fallback, false, false, nanos)
 	s.scheduleSoon()
-}
-
-// batchItem is one async placement solve produced by a scheduling pass,
-// parked until flushBatch ships it to the worker pool. The result
-// fields are written by the pool worker and read by the commit
-// injection (ordered by the inject channel send).
-type batchItem struct {
-	js    *jobState
-	sr    *stageRun
-	pr    placeRequest
-	key   placeKey
-	seq   int
-	stall time.Duration
-	res   placeResult
-	fb    bool
-	nanos int64
-}
-
-// flushBatch ships the scheduling pass's collected solves to the worker
-// pool: one capacity snapshot for the whole batch, one pool task per
-// LP-shape group solving its members sequentially through a shared warm
-// state (member j re-enters phase 2 from member j−1's basis), and one
-// commit injection per group. Every member commits under the resource
-// generation captured here, so a §4.2 update landing mid-batch
-// invalidates the whole batch's results, exactly as it would each
-// individual solve.
-func (s *state) flushBatch() {
-	items := s.pendingBatch
-	s.pendingBatch = nil
-	if len(items) == 0 {
-		return
-	}
-	s.rec.Registry().Histogram("engine.batch_sizes", 1, 2, 8).
-		Observe(float64(len(items)))
-	gen := s.resGen
-	res := place.Resources{
-		Slots:  append([]int(nil), s.capSlots...),
-		UpBW:   append([]float64(nil), s.upBW...),
-		DownBW: append([]float64(nil), s.downBW...),
-	}
-	placer := s.e.cfg.Placer
-	inj := s.e.cfg.Faults
-	for i := range items {
-		if inj != nil {
-			items[i].stall = inj.SolveStall(s.solveCount)
-		}
-		s.solveCount++
-	}
-	// Group by LP shape, preserving encounter order within and across
-	// groups so commits land in a deterministic order per group.
-	byShape := make(map[uint64][]*batchItem, len(items))
-	var order []uint64
-	for i := range items {
-		k := items[i].pr.shapeKey()
-		if _, ok := byShape[k]; !ok {
-			order = append(order, k)
-		}
-		byShape[k] = append(byShape[k], &items[i])
-	}
-	for _, k := range order {
-		group := byShape[k]
-		warm := group[0].sr.warm.Clone()
-		if warm == nil {
-			warm = place.NewWarmState()
-		}
-		// Deadlines are armed with value copies of each request BEFORE
-		// the pool task exists: the worker writes it.pr's warm pointer,
-		// and the deadline closure must not read the same struct.
-		if deadline := s.e.cfg.SolveDeadline; deadline > 0 {
-			for _, it := range group {
-				js, sr, pr, seq := it.js, it.sr, it.pr, it.seq
-				s.e.afterFunc(deadline, func() {
-					s.e.inject(func() { s.solveDeadline(js, sr, pr, gen, seq, 0) })
-				})
-			}
-		}
-		s.e.pool.submit(func() {
-			for _, it := range group {
-				if it.stall > 0 {
-					time.Sleep(it.stall)
-				}
-				t0 := time.Now()
-				it.pr.setWarm(warm)
-				it.res, it.fb = solveRequest(placer, res, it.pr)
-				it.nanos = time.Since(t0).Nanoseconds()
-			}
-			s.e.inject(func() {
-				s.noteWarmStats(warm)
-				for i, it := range group {
-					if it.seq == it.sr.solveSeq {
-						// Hand the chained basis back to each member for
-						// its next re-solve; clones keep the stages'
-						// warm states independent from here on.
-						if i == 0 {
-							it.sr.warm = warm
-						} else {
-							it.sr.warm = warm.Clone()
-						}
-					}
-					s.commitPlacement(it.js, it.sr, it.pr, it.key, gen, it.seq, it.res, it.fb, it.nanos)
-				}
-			})
-		})
-	}
 }
 
 // capacityProportional spreads count tasks over sites proportionally to

@@ -1,9 +1,9 @@
 // Package federation scales the single-writer scheduling engine past
 // one core by running N independent engine shards behind a thin router.
-// Each shard is a full engine.Engine — its own event loop, solve pool,
-// placement cache, and (when durable) its own shared-nothing journal
-// file — owning a 1/N capacity slice of the fleet cluster
-// (SliceCluster). The router:
+// Each shard is a full engine.Engine — its own event loop, solve pool
+// (every placement an LP solve against the shard's own capacities), and
+// (when durable) its own shared-nothing journal file — owning a 1/N
+// capacity slice of the fleet cluster (SliceCluster). The router:
 //
 //   - admits and load-balances submissions across shards via a
 //     pluggable ShardMap (hash- or site-partitioned), spilling from a

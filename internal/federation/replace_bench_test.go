@@ -8,8 +8,8 @@ package federation
 //	TETRIUM_REPLACE_MODE=full  — Config.ReplaceFull: every live stage
 //	    re-solves synchronously on the event loop (the pre-PR 9
 //	    replaceAll behavior, kept as the baseline).
-//	TETRIUM_REPLACE_MODE=incr  — dirty-set + Config.ReplaceAsync: only
-//	    stages touching the updated site re-solve, off-loop.
+//	TETRIUM_REPLACE_MODE=incr  — dirty-set re-placement: only stages
+//	    touching the updated site re-solve, synchronously on the loop.
 //
 // TETRIUM_REPLACE_RESIDENT sets the fleet-wide resident job count
 // (default 2048; `make bench-replace-smoke` shrinks it). Every resident
@@ -22,10 +22,10 @@ package federation
 //
 // Each iteration shrinks site 7's bandwidth by a strictly decreasing
 // step (slots unchanged), so the dirty-set skip stays exact (capacity
-// never grows) and no two updates are identical. In incr mode the async
-// re-solves are drained off the timer, so both modes measure their full
-// re-placement cost; the loop-stall gauge is reported alongside as
-// maxstall-ns.
+// never grows) and no two updates are identical. Both modes re-solve on
+// the event loop before UpdateCluster returns, so each iteration times
+// the full re-placement cost; the loop-stall gauge is reported
+// alongside as maxstall-ns.
 
 import (
 	"fmt"
@@ -97,17 +97,14 @@ func benchClusterUpdate(b *testing.B, shards, resident int, mode string) {
 		Cluster: replaceBenchCluster(),
 		Member: func(int) (engine.Config, error) {
 			return engine.Config{
-				Placer:         place.Tetrium{},
-				Policy:         sched.SRPT,
-				Rho:            1,
-				Eps:            1,
-				MaxPending:     resident + 64,
-				TimeScale:      1,  // wall-clock durations: residents never finish
-				BatchAdmit:     1,  // one scheduling pass per admission everywhere
-				SolveWorkers:   1,  // deterministic solve ordering
-				PlaceCacheSize: -1, // measure re-solves, not cache lookups
-				ReplaceFull:    mode == "full",
-				ReplaceAsync:   mode == "incr",
+				Placer:       place.Tetrium{},
+				Policy:       sched.SRPT,
+				Rho:          1,
+				Eps:          1,
+				MaxPending:   resident + 64,
+				TimeScale:    1, // wall-clock durations: residents never finish
+				SolveWorkers: 1, // deterministic solve ordering
+				ReplaceFull:  mode == "full",
 			}, nil
 		},
 	})
@@ -138,14 +135,6 @@ func benchClusterUpdate(b *testing.B, shards, resident int, mode string) {
 		}
 		if _, err := f.UpdateCluster([]engine.SiteUpdate{{Site: 7, Slots: -1, UpBW: bw, DownBW: bw}}); err != nil {
 			b.Fatalf("UpdateCluster: %v", err)
-		}
-		if mode == "incr" {
-			// Async re-solves land off the timer: the measured latency is
-			// what a caller (and the event loop) observes per update, the
-			// drain below just keeps iterations from overlapping.
-			b.StopTimer()
-			waitReplaceIdle(b, f, shards)
-			b.StartTimer()
 		}
 	}
 	b.StopTimer()
@@ -187,32 +176,5 @@ func waitAllPlaced(b *testing.B, f *Federation, shards, resident int) {
 			b.Fatalf("only %d/%d residents placed after 120s", placed, resident)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// waitReplaceIdle polls every shard's engine.replace_inflight gauge
-// back to zero — all dispatched async re-solves have committed.
-func waitReplaceIdle(b *testing.B, f *Federation, shards int) {
-	b.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		idle := true
-		for s := 0; s < shards; s++ {
-			reg, err := f.Shard(s).MetricsSnapshot()
-			if err != nil {
-				b.Fatalf("MetricsSnapshot: %v", err)
-			}
-			if reg.Gauge("engine.replace_inflight").Value() != 0 {
-				idle = false
-				break
-			}
-		}
-		if idle {
-			return
-		}
-		if time.Now().After(deadline) {
-			b.Fatalf("async re-placement did not drain within 60s")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

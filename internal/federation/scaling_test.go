@@ -32,9 +32,7 @@ import (
 // stream N ways, so aggregate admission throughput scales
 // near-linearly even on one core. The resident jobs
 // saturate every slot (huge compute estimates at TimeScale 1), pinning
-// the pass on its scan phase with no placement work, and BatchAdmit 1
-// keeps one pass per admission so the measured configurations batch
-// identically.
+// the pass on its scan phase with no placement work.
 func TestSubmitThroughputScaling(t *testing.T) {
 	out := os.Getenv("TETRIUM_FED_BENCH_OUT")
 	if out == "" {
@@ -128,7 +126,6 @@ func measureSubmitThroughput(t *testing.T, shards, resident, measured, submitter
 				Eps:          1,
 				MaxPending:   resident + measured + 64,
 				TimeScale:    1, // wall-clock stage durations: residents never finish
-				BatchAdmit:   1, // one scheduling pass per admission in every configuration
 				SolveWorkers: 1,
 			}, nil
 		},

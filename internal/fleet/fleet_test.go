@@ -23,7 +23,7 @@ func twoTenantTrace() []obs.Event {
 		obs.JobArrival{T: 3, Job: 2, Name: "q3", Stages: 1, Tasks: 4}, // default tenant
 		obs.Placement{T: 3.5, Job: 0, Stage: 0, Est: 10},
 		obs.StageLaunch{T: 4, Job: 0, Stage: 0, Tasks: 8, Slots: 4, SlotsBySite: []int{2, 2}, Est: 10, WANBytes: 100},
-		obs.Placement{T: 4.5, Job: 1, Stage: 0, Est: 8, Cached: true},
+		obs.Placement{T: 4.5, Job: 1, Stage: 0, Est: 8},
 		obs.StageLaunch{T: 5, Job: 1, Stage: 0, Tasks: 4, Slots: 2, SlotsBySite: []int{0, 2}, Est: 8},
 		obs.StageSpeculate{T: 6, Job: 0, Stage: 0, Site: 1, Tasks: 2},
 		obs.StageRequeue{T: 7, Job: 1, Stage: 0, Site: 1, Tasks: 4, SlotSeconds: 4.25},
@@ -91,8 +91,8 @@ func TestStoreAggregates(t *testing.T) {
 			}
 		}
 	}
-	if eff.LPSolves != 2 || eff.LPCacheHits != 1 {
-		t.Errorf("lp counters: solves=%d hits=%d", eff.LPSolves, eff.LPCacheHits)
+	if eff.LPSolves != 3 {
+		t.Errorf("lp counters: solves=%d, want 3", eff.LPSolves)
 	}
 
 	// Estimate accuracy: job 0 stage 0 est 10 actual 14−3.5=10.5 →

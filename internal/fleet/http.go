@@ -11,7 +11,7 @@ import (
 // configured with a Store) and served standalone by cmd/tetrium-fleet:
 //
 //	GET /resource-hogs?top=N        top consumers by slot-seconds / WAN bytes
-//	GET /efficiency                 speculation payoff, waste, LP cache trend
+//	GET /efficiency                 speculation payoff, waste, LP solve counts
 //	GET /estimate-accuracy          rolling estimate-vs-actual error percentiles
 //	GET /capacity/usage-trends?windows=N   windowed per-site slot/WAN usage
 //	GET /summary                    all of the above plus fleet totals

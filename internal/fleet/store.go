@@ -84,7 +84,7 @@ type Store struct {
 	wanTotal     float64
 
 	// LP decision counters (Placement events).
-	lpSolves, lpCacheHits, lpFallbacks, lpDeadline int
+	lpSolves, lpFallbacks, lpDeadline int
 
 	// Estimate-accuracy join: pending per-stage estimates and the
 	// rolling relative-error sample ring.
@@ -132,8 +132,6 @@ type usageWindow struct {
 	wan       float64   // total WAN bytes attributed this window
 	tenantSS  map[int32]float64
 	jobsDone  int
-	lpSolves  int
-	lpHits    int
 }
 
 // New returns an empty Store and starts the snapshot ticker when
@@ -375,14 +373,7 @@ func (s *Store) stageLaunch(e obs.StageLaunch) {
 }
 
 func (s *Store) placement(e obs.Placement) {
-	w := s.window(e.T)
-	if e.Cached {
-		s.lpCacheHits++
-		w.lpHits++
-	} else {
-		s.lpSolves++
-		w.lpSolves++
-	}
+	s.lpSolves++
 	if e.Fallback {
 		s.lpFallbacks++
 	}
@@ -610,36 +601,21 @@ type TenantEfficiency struct {
 	SlotSeconds      float64 `json:"slot_seconds"`
 }
 
-// CacheTrendPoint is one usage window's LP cache behavior.
-type CacheTrendPoint struct {
-	Start   float64 `json:"start"`
-	Solves  int     `json:"solves"`
-	Hits    int     `json:"hits"`
-	HitRate float64 `json:"hit_rate"`
-}
-
 // Efficiency is the /v1/analytics/efficiency response.
 type Efficiency struct {
 	Tenants             []TenantEfficiency `json:"tenants"`
 	LPSolves            int                `json:"lp_solves"`
-	LPCacheHits         int                `json:"lp_cache_hits"`
 	LPFallbacks         int                `json:"lp_fallbacks"`
 	LPDeadlineFallbacks int                `json:"lp_deadline_fallbacks"`
-	CacheHitRate        float64            `json:"cache_hit_rate"`
-	CacheHitTrend       []CacheTrendPoint  `json:"cache_hit_trend"`
 }
 
 // Efficiency reports speculation payoff, re-execution waste, and LP
-// cache behavior, per tenant and fleet-wide.
+// solve counts, per tenant and fleet-wide.
 func (s *Store) Efficiency() Efficiency {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := Efficiency{
-		LPSolves: s.lpSolves, LPCacheHits: s.lpCacheHits,
-		LPFallbacks: s.lpFallbacks, LPDeadlineFallbacks: s.lpDeadline,
-	}
-	if n := s.lpSolves + s.lpCacheHits; n > 0 {
-		out.CacheHitRate = float64(s.lpCacheHits) / float64(n)
+		LPSolves: s.lpSolves, LPFallbacks: s.lpFallbacks, LPDeadlineFallbacks: s.lpDeadline,
 	}
 	for _, ta := range s.tenants {
 		te := TenantEfficiency{
@@ -655,14 +631,6 @@ func (s *Store) Efficiency() Efficiency {
 		out.Tenants = append(out.Tenants, te)
 	}
 	sort.Slice(out.Tenants, func(a, b int) bool { return out.Tenants[a].Tenant < out.Tenants[b].Tenant })
-	for _, w := range s.windows {
-		if w.lpSolves == 0 && w.lpHits == 0 {
-			continue
-		}
-		p := CacheTrendPoint{Start: float64(w.bucket) * s.cfg.Window, Solves: w.lpSolves, Hits: w.lpHits}
-		p.HitRate = float64(w.lpHits) / float64(w.lpSolves+w.lpHits)
-		out.CacheHitTrend = append(out.CacheHitTrend, p)
-	}
 	return out
 }
 

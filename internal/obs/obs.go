@@ -135,7 +135,6 @@ type Placement struct {
 	TasksBySite []int   `json:"tasks_by_site"`
 	Fallback    bool    `json:"fallback,omitempty"` // placer errored; fallback used
 	Restamp     bool    `json:"restamp,omitempty"`  // forced re-solve after a drop
-	Cached      bool    `json:"cached,omitempty"`   // served from the placement memo cache
 	Deadline    bool    `json:"deadline,omitempty"` // LP solve missed its deadline; greedy baseline used
 	SolveNanos  int64   `json:"-"`
 }

@@ -106,12 +106,8 @@ func (r *Recorder) Emit(ev Event) {
 		r.reg.Histogram("sched.wall_ns", 1000, 2, 32).Observe(float64(e.WallNanos))
 		r.reg.Histogram("sched.free_slots", 1, 2, 16).Observe(float64(e.FreeSlots))
 	case Placement:
-		if !e.Cached {
-			// Cached placements reused a memoized solve; only real LP
-			// runs count toward lp.solves and its latency histogram.
-			r.reg.Counter("lp.solves").Inc()
-			r.reg.Histogram("lp.solve_ns", 1000, 2, 32).Observe(float64(e.SolveNanos))
-		}
+		r.reg.Counter("lp.solves").Inc()
+		r.reg.Histogram("lp.solve_ns", 1000, 2, 32).Observe(float64(e.SolveNanos))
 		if e.Fallback {
 			r.reg.Counter("lp.fallbacks").Inc()
 		}

@@ -68,13 +68,6 @@ type EngineOptions struct {
 	// SolveWorkers sizes the off-loop placement solver pool; 0 means
 	// GOMAXPROCS.
 	SolveWorkers int
-	// PlaceCacheSize bounds the placement memo cache in entries; 0 means
-	// the engine default (4096), negative disables caching.
-	PlaceCacheSize int
-	// BatchAdmit bounds how many queued admissions the event loop drains
-	// into one scheduling instance (batched placement solving); 0 means
-	// the engine default (8), 1 disables batching.
-	BatchAdmit int
 
 	// Check runs every LP solve under the certification layer.
 	Check bool
@@ -96,10 +89,6 @@ type EngineOptions struct {
 	// SolveDeadline bounds each placement LP solve before the greedy
 	// fallback places the stage instead; 0 disables.
 	SolveDeadline time.Duration
-	// ReplaceAsync moves §4.2 re-placement solves off the event loop:
-	// cluster updates dispatch the dirty stages to the solve pool and
-	// return, instead of blocking on every re-solve.
-	ReplaceAsync bool
 
 	// Supervise (federation only) turns on the self-healing supervisor:
 	// per-shard heartbeat probes, automatic jittered-backoff restarts of
@@ -172,24 +161,21 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 		})
 	}
 	cfg := engine.Config{
-		Cluster:        o.Cluster,
-		Placer:         placer,
-		Policy:         policy,
-		Rho:            rho,
-		Eps:            eps,
-		UpdateK:        o.UpdateK,
-		MaxPending:     o.MaxPending,
-		TimeScale:      scale,
-		EventCap:       o.EventCap,
-		SolveWorkers:   o.SolveWorkers,
-		PlaceCacheSize: o.PlaceCacheSize,
-		BatchAdmit:     o.BatchAdmit,
-		Faults:         inj,
-		Journal:        jnl,
-		Restore:        restore,
-		Speculate:      o.Speculate,
-		SolveDeadline:  o.SolveDeadline,
-		ReplaceAsync:   o.ReplaceAsync,
+		Cluster:       o.Cluster,
+		Placer:        placer,
+		Policy:        policy,
+		Rho:           rho,
+		Eps:           eps,
+		UpdateK:       o.UpdateK,
+		MaxPending:    o.MaxPending,
+		TimeScale:     scale,
+		EventCap:      o.EventCap,
+		SolveWorkers:  o.SolveWorkers,
+		Faults:        inj,
+		Journal:       jnl,
+		Restore:       restore,
+		Speculate:     o.Speculate,
+		SolveDeadline: o.SolveDeadline,
 	}
 	if analytics != nil {
 		// Assigned only when non-nil: a typed-nil *fleet.Store in the
@@ -272,20 +258,17 @@ func NewFederation(o EngineOptions, shards int, shardBy string) (*Federation, er
 			return engine.Config{}, err
 		}
 		cfg := engine.Config{
-			Placer:         placer,
-			Policy:         policy,
-			Rho:            rho,
-			Eps:            eps,
-			UpdateK:        o.UpdateK,
-			MaxPending:     o.MaxPending,
-			TimeScale:      scale,
-			EventCap:       o.EventCap,
-			SolveWorkers:   o.SolveWorkers,
-			PlaceCacheSize: o.PlaceCacheSize,
-			BatchAdmit:     o.BatchAdmit,
-			Speculate:      o.Speculate,
-			SolveDeadline:  o.SolveDeadline,
-			ReplaceAsync:   o.ReplaceAsync,
+			Placer:        placer,
+			Policy:        policy,
+			Rho:           rho,
+			Eps:           eps,
+			UpdateK:       o.UpdateK,
+			MaxPending:    o.MaxPending,
+			TimeScale:     scale,
+			EventCap:      o.EventCap,
+			SolveWorkers:  o.SolveWorkers,
+			Speculate:     o.Speculate,
+			SolveDeadline: o.SolveDeadline,
 		}
 		if o.FaultSpec != "" {
 			inj, err := fault.Parse(o.FaultSpec, o.FaultSeed+int64(shard))
