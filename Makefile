@@ -70,10 +70,13 @@ fuzz-smoke:
 	$(GO) test ./internal/check -fuzz=FuzzSolve -fuzztime=10s
 	$(GO) test ./internal/place -fuzz=FuzzPlaceMap -fuzztime=10s
 
-# End-to-end check of the serving path: tetrium-serve starts its HTTP
-# server on an ephemeral port, submits 5 jobs over the wire, fires a
-# §4.2 cluster update, polls everything to completion, scrapes /metrics
-# and /debug/events, drains, and exits non-zero on any deviation.
+# End-to-end check of the one serving path at its default shard count
+# (N = 1): tetrium-serve starts the federation router on an ephemeral
+# port, submits 10 jobs over the wire, fires a §4.2 cluster update,
+# polls everything to completion, checks jobs.done in /metrics.txt and
+# /metrics, one drop per shard in /debug/events and the
+# /v1/federation view, drains, and exits non-zero on any deviation.
+# federation-smoke runs the same smoke at two shards with a journal.
 # (`make race` covers the engine's concurrency tests: go test -race ./...
 # includes ./internal/engine/...)
 serve-smoke:
@@ -87,28 +90,30 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosEngine' ./internal/engine
 	$(GO) test -race -count=1 -run 'TestCrashRestart|TestSigtermDrain' ./cmd/tetrium-serve
 
-# Fleet-analytics gate: a live multi-tenant run must serve all four
-# /v1/analytics endpoint families as well-formed per-tenant JSON, the
-# staged 1→N-client loadgen must print its latency + attribution
-# tables, and offline tetrium-fleet ingestion of the run's journal +
-# event trace must reproduce the live totals bit-for-bit. The engine
-# alloc-guard (zero allocations on the event path with analytics off)
-# rides along.
+# Fleet-analytics gate: a live multi-tenant run (one-shard federation)
+# must serve all four /v1/analytics endpoint families as well-formed
+# per-tenant JSON, the staged 1→N-client loadgen must print its
+# latency + attribution tables, offline tetrium-fleet ingestion of the
+# run's journal + event trace must reproduce the live totals
+# bit-for-bit, and the store must keep answering and snapshotting
+# across shard restarts. The engine alloc-guard (zero allocations on
+# the event path with analytics off) rides along.
 analytics-smoke:
 	$(GO) test -count=1 -run 'TestAnalyticsSmoke|TestFleetCLIUsage' ./cmd/tetrium-fleet
+	$(GO) test -count=1 -run 'TestFederationAnalyticsSurvivesRestart' .
 	$(GO) test -count=1 -run 'TestStagedLoadgen' ./cmd/tetrium-serve
 	$(GO) test -count=1 -run 'TestAnalyticsDisabledHotPath|TestAnalyticsLiveOfflineParity' ./internal/engine
 
-# Federation gate: the 2-shard router round-trip (submit across shards,
-# kill + journal-restore shard 0, §4.2 drop, poll to done, merged
-# metrics/events/status, drain), then the router hammer and
-# shard-loss-mid-flight chaos tests plus the serve-level crash-restart
-# and -shards 1 bit-compat subprocess tests, all under the race
-# detector.
+# Federation gate: the serve smoke at 2 shards with a journal (submit
+# across shards, kill + journal-restore shard 0, §4.2 drop, poll to
+# done, merged metrics/events/status, drain), then the router hammer,
+# shard-loss-mid-flight chaos and one-shard ≡ bare-engine differential
+# tests plus the serve-level 2-shard crash-restart subprocess test, all
+# under the race detector.
 federation-smoke:
 	$(GO) run ./cmd/tetrium-serve -smoke -shards 2 -journal $$(mktemp -d)/journal -time-scale 0.002
-	$(GO) test -race -count=1 -run 'TestRouterHammer|TestShardLossMidFlight' ./internal/federation
-	$(GO) test -race -count=1 -run 'TestFederationCrashRestart|TestShardsOneMatchesSingleEngine' ./cmd/tetrium-serve
+	$(GO) test -race -count=1 -run 'TestRouterHammer|TestShardLossMidFlight|TestShardsOneMatchesEngine' ./internal/federation
+	$(GO) test -race -count=1 -run 'TestFederationCrashRestart' ./cmd/tetrium-serve
 
 # Self-healing gate (PR 10), all under the race detector: the chaos
 # tentpole (a supervised 2-shard journaled fleet survives an injected
@@ -116,12 +121,14 @@ federation-smoke:
 # record — all healed automatically, zero lost jobs, readiness degraded
 # not failed), the flap-breaker and fault-timeline tests, exactly-once
 # idempotent submit across a crash, and the subprocess restart over a
-# damaged journal. The serve-level federation smoke then re-runs with
-# -supervise so the heals happen under live supervision end to end.
+# damaged journal. The serve smoke then re-runs with -supervise at two
+# shards and at the default one, so the heals happen under live
+# supervision end to end at both.
 selfheal-smoke:
 	$(GO) test -race -count=1 -run 'TestSelfHealChaos|TestBreakerParksFlappingShard|TestChaosTimelineFires|TestFederationIdemExactlyOnce|TestUnhealthyRetryAfterDeadline' ./internal/federation
 	$(GO) test -race -count=1 -run 'TestCrashRestartCorruptJournal' ./cmd/tetrium-serve
 	$(GO) run ./cmd/tetrium-serve -smoke -shards 2 -supervise -journal $$(mktemp -d)/journal -time-scale 0.002
+	$(GO) run ./cmd/tetrium-serve -smoke -supervise -journal $$(mktemp -d)/journal -time-scale 0.002
 
 # Regenerate the federation scaling report: aggregate submit throughput
 # at 1 vs 2 vs 4 shards over a 4000-job resident fleet (best-of-3 per

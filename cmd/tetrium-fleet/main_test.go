@@ -44,15 +44,15 @@ func TestAnalyticsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
-	eng, err := tetrium.NewEngine(tetrium.EngineOptions{
+	fed, err := tetrium.NewFederation(tetrium.EngineOptions{
 		Cluster:     cl,
 		JournalPath: jpath,
 		Analytics:   true,
-	})
+	}, 1, "hash")
 	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
+		t.Fatalf("NewFederation: %v", err)
 	}
-	srv := httptest.NewServer(tetrium.EngineHandler(eng))
+	srv := httptest.NewServer(tetrium.FederationHandler(fed))
 	defer srv.Close()
 
 	// Multi-tenant load: three tenants, a dozen jobs.
@@ -76,7 +76,7 @@ func TestAnalyticsSmoke(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := eng.Drain(ctx); err != nil {
+	if err := fed.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 
@@ -136,14 +136,14 @@ func TestAnalyticsSmoke(t *testing.T) {
 	}
 	trace, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.Header.Get("Tetrium-Events-Dropped") != "0" {
+	if resp.Header.Get("Tetrium-Events-Missed") != "0" {
 		t.Fatalf("event ring dropped events; parity check needs the full trace")
 	}
 	if err := os.WriteFile(epath, trace, 0o644); err != nil {
 		t.Fatalf("save trace: %v", err)
 	}
 	srv.Close()
-	eng.Close()
+	fed.Close()
 
 	// Offline: the real CLI ingests the artifacts and must reproduce the
 	// live totals bit-for-bit.

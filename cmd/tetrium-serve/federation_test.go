@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"syscall"
 	"testing"
 	"time"
@@ -121,85 +120,6 @@ func TestFederationCrashRestart(t *testing.T) {
 	}
 	if fs.Shards != 2 || len(fs.Members) != 2 || !fs.Journal {
 		t.Fatalf("federation status = %+v, want 2 journaled shards", fs)
-	}
-}
-
-// TestShardsOneMatchesSingleEngine guards the bit-compatibility
-// contract: -shards 1 must behave exactly like the flagless
-// single-engine server. Identical submissions against both must yield
-// identical /v1/jobs (volatile timestamps scrubbed) and /v1/cluster
-// responses.
-func TestShardsOneMatchesSingleEngine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test")
-	}
-	const n = 8
-	run := func(extra ...string) ([]api.JobStatus, api.ClusterStatus) {
-		args := append([]string{"-time-scale", "0"}, extra...)
-		cmd, base, out := helperServer(t, args...)
-		defer func() {
-			cmd.Process.Signal(syscall.SIGTERM)
-			cmd.Wait()
-		}()
-		for i := 0; i < n; i++ {
-			resp, _ := postJobHTTP(t, base, testJobBody(t, fmt.Sprintf("compat-%d", i)))
-			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("submit %d: status %d\noutput:\n%s", i, resp.StatusCode, out.String())
-			}
-		}
-		deadline := time.Now().Add(60 * time.Second)
-		for {
-			jobs := fetchJobs(t, base)
-			done := 0
-			for _, js := range jobs {
-				if js.State == "done" {
-					done++
-				}
-			}
-			if len(jobs) == n && done == n {
-				var cs api.ClusterStatus
-				resp, err := http.Get(base + "/v1/cluster")
-				if err != nil {
-					t.Fatalf("GET /v1/cluster: %v", err)
-				}
-				derr := json.NewDecoder(resp.Body).Decode(&cs)
-				resp.Body.Close()
-				if derr != nil {
-					t.Fatalf("decode cluster: %v", derr)
-				}
-				return jobs, cs
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("only %d/%d jobs done", done, n)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-
-	plainJobs, plainCl := run()
-	shardJobs, shardCl := run("-shards", "1")
-
-	scrub := func(jobs []api.JobStatus) []api.JobStatus {
-		sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
-		for i := range jobs {
-			jobs[i].SubmittedUnixMs = 0
-			jobs[i].PlacedUnixMs = 0
-			jobs[i].FinishedUnixMs = 0
-			jobs[i].SubmitToPlaceMs = 0
-			jobs[i].ResponseSeconds = 0
-			jobs[i].Stages = nil // per-stage timings are wall-clock dependent
-		}
-		return jobs
-	}
-	pj, _ := json.Marshal(scrub(plainJobs))
-	sj, _ := json.Marshal(scrub(shardJobs))
-	if string(pj) != string(sj) {
-		t.Errorf("-shards 1 diverges from single engine on /v1/jobs:\nplain:  %s\nshards: %s", pj, sj)
-	}
-	pc, _ := json.Marshal(plainCl)
-	sc, _ := json.Marshal(shardCl)
-	if string(pc) != string(sc) {
-		t.Errorf("-shards 1 diverges from single engine on /v1/cluster:\nplain:  %s\nshards: %s", pc, sc)
 	}
 }
 

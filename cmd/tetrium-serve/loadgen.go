@@ -219,9 +219,9 @@ func reportSolverStats(client *http.Client, base string) error {
 		stallCount  int
 		stallMeanNs float64
 
-		// Self-healing picture (PR 10): zero-valued and absent metrics
-		// both read as 0; the health line only prints for supervised
-		// (federated) servers, the healing line whenever anything healed.
+		// Self-healing picture: zero-valued and absent metrics both read
+		// as 0; the health line only prints for supervised servers, the
+		// healing line whenever anything healed.
 		health      = map[string]float64{}
 		supervised  bool
 		breakerOpen float64
@@ -273,8 +273,8 @@ func reportSolverStats(client *http.Client, base string) error {
 			if fields[1] != "engine.loop_stall_max_ns" {
 				continue
 			}
-			// Single-engine this is the max observed stall; the federation
-			// scrape sums shard gauges, making it an upper bound.
+			// At one shard this is the max observed stall; with more the
+			// merged scrape sums shard gauges, making it an upper bound.
 			if v, err := strconv.ParseFloat(fields[2], 64); err == nil && v > stallMaxNs {
 				stallMaxNs = v
 			}

@@ -15,8 +15,9 @@
 //	POST /v1/cluster/update  §4.2 dynamics: {"sites":[{"site":0,"frac":0.4}]}
 //	GET  /metrics            Prometheus text format
 //	GET  /metrics.txt        native registry dump
-//	GET  /debug/events       JSONL event stream (?since=<seq> cursor pagination)
-//	GET  /v1/analytics/...   fleet analytics reports (with -analytics)
+//	GET  /debug/events       JSONL event stream (?since=<cursor> pagination, one field per shard: "c0:c1:…")
+//	GET  /v1/federation      per-shard readiness, backlog, health
+//	GET  /v1/analytics/...   fleet analytics reports (with -analytics; one shard only)
 //	GET  /healthz            liveness
 //	GET  /readyz             readiness (503 while replaying the journal or draining)
 //
@@ -34,34 +35,31 @@
 //
 //	tetrium-serve -loadgen -target http://127.0.0.1:8080 -jobs 100 -rate 600
 //
-// Smoke mode starts an in-process server on an ephemeral port, runs a
-// five-job end-to-end check (submit → poll → update → metrics → drain),
-// and exits non-zero on any failure:
-//
-//	tetrium-serve -smoke
-//
-// Sharded mode (-shards N with N > 1) runs N shared-nothing engine
-// shards behind the federation router: same API surface, aggregated
-// /v1/cluster and /metrics, merged /debug/events, plus GET
-// /v1/federation for per-shard state. -shards 1 (the default) is the
-// plain single-engine path, byte-identical to the pre-federation
-// server. With -journal each shard journals to <path>.shard<i>:
+// Every server is the federation router over -shards N engine shards
+// (default 1: the whole cluster on one engine). Each shard owns a 1/N
+// capacity slice and its own event loop and solve pool; /v1/cluster and
+// /metrics aggregate, /debug/events merges the shard streams, and GET
+// /v1/federation shows per-shard state. With -journal the one shard
+// journals to the given path and N > 1 shards to <path>.shard<i>:
 //
 //	tetrium-serve -addr :8080 -shards 4 -shard-by hash -journal /var/lib/tetrium/j
 //
-// -smoke with -shards N > 1 runs the federation round-trip instead:
-// submit over the wire, kill and restore one shard mid-flight, verify
-// no admitted job is lost.
+// Smoke mode starts an in-process server on an ephemeral port, submits
+// jobs over the wire, fires a §4.2 update, polls every job to done,
+// checks the metrics and the event stream, drains, and exits non-zero
+// on any failure. With -journal it also kills and restores shard 0
+// mid-flight and verifies no admitted job is lost:
 //
-// -supervise (with -shards > 1) turns the router self-healing: each
-// shard is heartbeat-probed; a wedged, panicked, or stopped shard is
-// restarted automatically from its journal with jittered exponential
-// backoff (-restart-backoff sets the first delay), and a shard that
-// keeps flapping is parked by a circuit breaker until an operator
-// restarts it. POST /v1/jobs accepts an Idempotency-Key header making
-// submit retries exactly-once across shard crashes. -shard-by,
-// -supervise and -restart-backoff set explicitly without -shards > 1
-// exit with status 2 rather than being silently ignored.
+//	tetrium-serve -smoke
+//	tetrium-serve -smoke -shards 2 -journal /tmp/j
+//
+// -supervise turns the router self-healing: each shard is
+// heartbeat-probed; a wedged, panicked, or stopped shard is restarted
+// automatically from its journal with jittered exponential backoff
+// (-restart-backoff sets the first delay), and a shard that keeps
+// flapping is parked by a circuit breaker until an operator restarts
+// it. POST /v1/jobs accepts an Idempotency-Key header making submit
+// retries exactly-once, across shard crashes when journaled.
 package main
 
 import (
@@ -73,7 +71,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -108,10 +105,10 @@ func main() {
 		analyticsSP = flag.String("analytics-snap", "", "fleet store snapshot path (empty: no snapshots)")
 		analyticsSE = flag.Duration("analytics-snap-every", 0, "fleet store snapshot interval (0: 30s default)")
 
-		shards    = flag.Int("shards", 1, "engine shards behind the federation router (1 = single engine)")
-		shardBy   = flag.String("shard-by", "hash", "submission partitioning with -shards > 1: hash|site")
-		supervise = flag.Bool("supervise", false, "with -shards > 1: self-healing supervisor (heartbeat probes, auto-restart with backoff, flap breaker)")
-		restartBO = flag.Duration("restart-backoff", 0, "with -shards > 1: supervisor first restart delay, doubling per failure (0 = 200ms)")
+		shards    = flag.Int("shards", 1, "engine shards behind the federation router (1 = the whole cluster on one engine)")
+		shardBy   = flag.String("shard-by", "hash", "submission partitioning across shards: hash|site")
+		supervise = flag.Bool("supervise", false, "self-healing supervisor (heartbeat probes, auto-restart with backoff, flap breaker)")
+		restartBO = flag.Duration("restart-backoff", 0, "supervisor first restart delay, doubling per failure (0 = 200ms)")
 
 		loadgen = flag.Bool("loadgen", false, "run as load generator against -target")
 		smoke   = flag.Bool("smoke", false, "run the in-process smoke check and exit")
@@ -132,22 +129,6 @@ func main() {
 		return
 	}
 
-	if *shards <= 1 {
-		// These configure the federation router; a single-engine server
-		// would silently ignore them, so an explicit setting is an error.
-		var routerOnly []string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "supervise", "restart-backoff", "shard-by":
-				routerOnly = append(routerOnly, "-"+f.Name)
-			}
-		})
-		if len(routerOnly) > 0 {
-			fmt.Fprintf(os.Stderr, "tetrium-serve: %s requires -shards > 1\n", strings.Join(routerOnly, ", "))
-			os.Exit(2)
-		}
-	}
-
 	sched, err := tetrium.ParseScheduler(*schedName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tetrium-serve:", err)
@@ -160,7 +141,7 @@ func main() {
 	}
 	scale := *timeScale
 	if scale <= 0 {
-		scale = -1 // NewEngine: negative → instant completion
+		scale = -1 // NewFederation: negative → instant completion
 	}
 	opts := tetrium.EngineOptions{
 		Cluster:   cl,
@@ -187,20 +168,15 @@ func main() {
 		AnalyticsSnapshotEvery: *analyticsSE,
 	}
 
-	if *shards > 1 {
-		runFederation(opts, *shards, *shardBy, *clusterName, *addr, *smoke, *drainWait)
-		return
-	}
-
-	eng, err := tetrium.NewEngine(opts)
+	fed, err := tetrium.NewFederation(opts, *shards, *shardBy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tetrium-serve:", err)
 		os.Exit(1)
 	}
 
 	if *smoke {
-		err := runSmoke(eng)
-		eng.Close()
+		err := runFederationSmoke(fed, opts.JournalPath != "")
+		fed.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tetrium-serve: smoke:", err)
 			os.Exit(1)
@@ -213,22 +189,22 @@ func main() {
 	// and parse the actual address from the banner).
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		eng.Close()
+		fed.Close()
 		fmt.Fprintln(os.Stderr, "tetrium-serve:", err)
 		os.Exit(1)
 	}
-	srv := &http.Server{Handler: tetrium.EngineHandler(eng)}
+	srv := &http.Server{Handler: tetrium.FederationHandler(fed)}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	fmt.Printf("tetrium-serve: listening on %s (cluster %s, %d sites, scheduler %s)\n",
-		ln.Addr(), *clusterName, cl.N(), sched)
+	fmt.Printf("tetrium-serve: listening on %s (cluster %s, %d sites, scheduler %s, %d shards, shard-by %s)\n",
+		ln.Addr(), *clusterName, cl.N(), sched, *shards, fed.ShardMapName())
 
 	select {
 	case err := <-errc:
-		eng.Close()
+		fed.Close()
 		fmt.Fprintln(os.Stderr, "tetrium-serve:", err)
 		os.Exit(1)
 	case <-ctx.Done():
@@ -237,13 +213,13 @@ func main() {
 	fmt.Println("tetrium-serve: draining...")
 	dctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
-	if err := eng.Drain(dctx); err != nil {
+	if err := fed.Drain(dctx); err != nil {
 		fmt.Fprintln(os.Stderr, "tetrium-serve: drain:", err)
 	}
 	if err := srv.Shutdown(dctx); err != nil {
 		fmt.Fprintln(os.Stderr, "tetrium-serve: shutdown:", err)
 	}
-	eng.Close()
+	fed.Close()
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "tetrium-serve:", err)
 		os.Exit(1)

@@ -396,8 +396,7 @@ func TestSigtermDrain(t *testing.T) {
 }
 
 // TestFaultFlagValidation: a flag the server cannot honor must fail
-// fast, not start a server that silently ignores it — a bad -fault-spec,
-// and the federation-only flags on a single-engine (-shards 1) server.
+// fast, not start a server that silently ignores it.
 func TestFaultFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
@@ -409,10 +408,6 @@ func TestFaultFlagValidation(t *testing.T) {
 		wantOut  string
 	}{
 		{"bad-fault-spec", []string{"-fault-spec", "crash@nonsense"}, 0, "fault"},
-		{"supervise", []string{"-supervise"}, 2, "-supervise"},
-		{"supervise-shards-1", []string{"-shards", "1", "-supervise"}, 2, "-supervise"},
-		{"restart-backoff", []string{"-restart-backoff", "1s"}, 2, "-restart-backoff"},
-		{"shard-by", []string{"-shard-by", "site"}, 2, "-shard-by"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -433,5 +428,56 @@ func TestFaultFlagValidation(t *testing.T) {
 				t.Errorf("error output does not mention %q:\n%s", tc.wantOut, out)
 			}
 		})
+	}
+}
+
+// TestIdempotencyKeyDefaultServer: the flagless server honors
+// Idempotency-Key — the same key POSTed twice admits one job, the
+// retry is answered 200 with Tetrium-Idempotent-Replay, and /v1/jobs
+// lists exactly that one job.
+func TestIdempotencyKeyDefaultServer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	cmd, base, out := helperServer(t)
+	defer func() {
+		cmd.Process.Signal(syscall.SIGTERM)
+		cmd.Wait()
+	}()
+	body := testJobBody(t, "idem")
+	var first api.JobStatus
+	for i, want := range []int{http.StatusAccepted, http.StatusOK} {
+		req, err := http.NewRequest(http.MethodPost, base+"/v1/jobs", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Idempotency-Key", "retry-me")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("POST %d: %v", i, err)
+		}
+		var st api.JobStatus
+		derr := json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if resp.StatusCode != want || derr != nil {
+			t.Fatalf("POST %d: status %d (decode %v), want %d\noutput:\n%s", i, resp.StatusCode, derr, want, out.String())
+		}
+		replay := resp.Header.Get("Tetrium-Idempotent-Replay")
+		if i == 0 {
+			first = st
+			if replay != "" {
+				t.Fatalf("first POST marked as replay %q", replay)
+			}
+			continue
+		}
+		if replay != "true" {
+			t.Errorf("retry: Tetrium-Idempotent-Replay = %q, want true", replay)
+		}
+		if st.ID != first.ID {
+			t.Errorf("retry answered job %d, want the original %d", st.ID, first.ID)
+		}
+	}
+	if jobs := fetchJobs(t, base); len(jobs) != 1 {
+		t.Fatalf("/v1/jobs lists %d jobs after a retried submit, want 1: %+v", len(jobs), jobs)
 	}
 }

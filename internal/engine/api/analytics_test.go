@@ -193,8 +193,7 @@ func TestAnalyticsEndpoints(t *testing.T) {
 		t.Errorf("summary totals %+v != resource-hogs totals %+v", snap.Totals, hogs.Totals)
 	}
 
-	// The engine owns the store's lifecycle now (io.Closer), so no
-	// explicit Close here; the testServer cleanup closes the engine.
+	// The store runs no snapshot ticker, so it needs no Close.
 }
 
 func TestAnalyticsDisabled404(t *testing.T) {

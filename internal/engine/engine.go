@@ -43,7 +43,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"sync"
@@ -154,7 +153,8 @@ type Config struct {
 	// concrete non-nil observer or left nil: the hot path guards on the
 	// interface alone, and a typed-nil observer would be called. When
 	// nil the event path does no extra work and allocates nothing new.
-	// If the observer also implements io.Closer, Close closes it.
+	// The engine never closes it: whoever built it owns its lifecycle
+	// (a federation keeps it across shard restarts).
 	Analytics obs.Observer
 }
 
@@ -421,9 +421,6 @@ func (e *Engine) doShutdown(snapshotJournal bool) {
 		} else {
 			j.Abandon()
 		}
-	}
-	if c, ok := e.cfg.Analytics.(io.Closer); ok {
-		c.Close()
 	}
 }
 

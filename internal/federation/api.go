@@ -11,11 +11,14 @@ import (
 
 	"tetrium/internal/engine"
 	"tetrium/internal/engine/api"
+	"tetrium/internal/fleet"
 )
 
 // Handler serves a Federation over HTTP with the same surface as the
 // single-engine api.Handler, plus GET /v1/federation for per-shard
-// routing state. Differences from the single-engine surface:
+// routing state, POST /v1/jobs's Idempotency-Key, and /v1/analytics
+// when the single shard feeds a *fleet.Store. Differences from the
+// single-engine surface:
 //
 //   - job IDs are federation IDs (shard-local ID · shards + shard);
 //   - /metrics and /metrics.txt are the merged fleet registry;
@@ -146,6 +149,12 @@ func Handler(f *Federation) http.Handler {
 		w.Header().Set("Tetrium-Events-Missed", strconv.FormatInt(missed, 10))
 		writeShardJSONL(w, evs)
 	})
+	// The analytics store outlives shard restarts, so the route is bound
+	// once; it exists only at one shard (the store's job IDs are
+	// shard-local).
+	if st, ok := f.Shard(0).Analytics().(*fleet.Store); ok && f.NumShards() == 1 {
+		mux.Handle("/v1/analytics/", http.StripPrefix("/v1/analytics", fleet.Routes(st)))
+	}
 	mux.HandleFunc("GET /v1/federation", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, federationStatus(f))
 	})

@@ -1,5 +1,7 @@
-// Package federation scales the single-writer scheduling engine past
-// one core by running N independent engine shards behind a thin router.
+// Package federation is the one serving path of the scheduling engine:
+// N ≥ 1 independent engine shards behind a thin router. One shard is
+// the whole cluster on one engine; more scale the single-writer engine
+// past one core.
 // Each shard is a full engine.Engine — its own event loop, solve pool
 // (every placement an LP solve against the shard's own capacities), and
 // (when durable) its own shared-nothing journal file — owning a 1/N
@@ -35,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -76,10 +79,15 @@ type Config struct {
 	// placer, policy, and knobs. The federation overrides Cluster (the
 	// shard's capacity slice) and Journal/Restore (the shard's own
 	// journal) before starting the engine, so Member must leave those
-	// unset. Called again when a shard restarts. Required.
+	// unset. Called again when a shard restarts. Required. An Analytics
+	// observer in the template belongs to the federation, not the
+	// engine: Member hands every incarnation of a shard the same one, a
+	// restart leaves it running, and Close closes it if it is an
+	// io.Closer.
 	Member func(shard int) (engine.Config, error)
-	// JournalPath, when non-empty, gives shard i a durable journal at
-	// <path>.shard<i>, replayed independently on restart.
+	// JournalPath, when non-empty, gives each shard a durable journal,
+	// replayed independently on restart: the file itself with one
+	// shard, <path>.shard<i> with more.
 	JournalPath string
 	// SnapshotEvery bounds per-shard journal growth (<= 0: journal
 	// default).
@@ -215,9 +223,13 @@ func (f *Federation) startShard(i int) (*engine.Engine, error) {
 	return eng, nil
 }
 
-// ShardJournalPath is the journal file of shard i under the configured
-// JournalPath prefix.
+// ShardJournalPath is the journal file of shard i: JournalPath itself
+// for a single shard, so one shard reads and writes the same file as an
+// unsharded server always has, and <JournalPath>.shard<i> otherwise.
 func (f *Federation) ShardJournalPath(i int) string {
+	if f.n == 1 {
+		return f.cfg.JournalPath
+	}
 	return fmt.Sprintf("%s.shard%d", f.cfg.JournalPath, i)
 }
 
@@ -758,8 +770,10 @@ func (f *Federation) Drain(ctx context.Context) error {
 	return first
 }
 
-// Close stops the supervisor and chaos timers, then every shard.
-// Idempotent (engine.Close is; the supervisor stops once).
+// Close stops the supervisor and chaos timers, then every shard, then
+// the shards' analytics observers. Idempotent (engine.Close is; the
+// supervisor stops once; closers such as fleet.Store must tolerate a
+// second Close).
 func (f *Federation) Close() {
 	if f.sv != nil {
 		f.sv.stop() // waits out in-flight restarts so no engine leaks
@@ -767,8 +781,14 @@ func (f *Federation) Close() {
 	for _, tm := range f.chaosTimers {
 		tm.Stop()
 	}
-	for _, e := range f.engines() {
+	engines := f.engines()
+	for _, e := range engines {
 		e.Close()
+	}
+	for _, e := range engines {
+		if c, ok := e.Analytics().(io.Closer); ok {
+			c.Close()
+		}
 	}
 }
 

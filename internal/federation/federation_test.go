@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -477,5 +479,109 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Shards: cl.TotalSlots() + 1, Cluster: cl, Member: testMember(0, 0)}); err == nil {
 		t.Error("more shards than slots accepted")
+	}
+}
+
+// TestShardsOneMatchesEngine is the one-shard differential: a
+// federation with Shards 1 serves exactly what a bare engine with the
+// same Member config serves. The same jobs, then a §4.2 drop, then more
+// jobs go to both; the job listings (wall-clock times scrubbed), the
+// cluster views and the jobs.done counters must be identical.
+func TestShardsOneMatchesEngine(t *testing.T) {
+	cl := cluster.EC2EightRegions()
+	member := testMember(0, 0)
+	cfg, _ := member(0)
+	cfg.Cluster = cl
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatalf("engine.New: %v", err)
+	}
+	t.Cleanup(eng.Close)
+	f := mustFed(t, Config{Shards: 1, Cluster: cl, Member: member})
+
+	type server struct {
+		submit func(*workload.Job) (engine.JobStatus, error)
+		update func([]engine.SiteUpdate) (int, error)
+		jobs   func() ([]engine.JobStatus, error)
+	}
+	servers := []server{
+		{eng.Submit, eng.UpdateCluster, eng.Jobs},
+		{f.Submit, f.UpdateCluster, f.Jobs},
+	}
+	// settle waits until every job is done, so a §4.2 update never races
+	// a placement differently on the two sides.
+	settle := func(s server, want int) []engine.JobStatus {
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			sts, err := s.jobs()
+			if err != nil {
+				t.Fatalf("Jobs: %v", err)
+			}
+			done := 0
+			for _, st := range sts {
+				if st.Phase == engine.JobDone {
+					done++
+				}
+			}
+			if len(sts) == want && done == want {
+				return sts
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d/%d jobs done", done, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	const half = 6
+	var listings [2][]engine.JobStatus
+	for i, s := range servers {
+		jobs := workload.Generate(workload.BigData(cl.N(), 2*half, 7))
+		for _, j := range jobs[:half] {
+			if _, err := s.submit(j); err != nil {
+				t.Fatalf("side %d: Submit: %v", i, err)
+			}
+		}
+		settle(s, half)
+		if _, err := s.update([]engine.SiteUpdate{{Site: 0, Frac: 0.3}}); err != nil {
+			t.Fatalf("side %d: UpdateCluster: %v", i, err)
+		}
+		for _, j := range jobs[half:] {
+			if _, err := s.submit(j); err != nil {
+				t.Fatalf("side %d: Submit: %v", i, err)
+			}
+		}
+		sts := settle(s, 2*half)
+		sort.Slice(sts, func(a, b int) bool { return sts[a].ID < sts[b].ID })
+		for k := range sts {
+			sts[k].Submitted, sts[k].Placed, sts[k].Finished = time.Time{}, time.Time{}, time.Time{}
+		}
+		listings[i] = sts
+	}
+	if !reflect.DeepEqual(listings[0], listings[1]) {
+		t.Errorf("Jobs diverge:\nengine:     %+v\nfederation: %+v", listings[0], listings[1])
+	}
+
+	engCl, err := eng.Cluster()
+	if err != nil {
+		t.Fatalf("engine Cluster: %v", err)
+	}
+	fedCl, err := f.Cluster()
+	if err != nil {
+		t.Fatalf("federation Cluster: %v", err)
+	}
+	if !reflect.DeepEqual(engCl, fedCl) {
+		t.Errorf("Cluster diverges:\nengine:     %+v\nfederation: %+v", engCl, fedCl)
+	}
+
+	engReg, err := eng.MetricsSnapshot()
+	if err != nil {
+		t.Fatalf("engine MetricsSnapshot: %v", err)
+	}
+	fedReg, err := f.MetricsRegistry()
+	if err != nil {
+		t.Fatalf("federation MetricsRegistry: %v", err)
+	}
+	if e, g := engReg.Counter("jobs.done").Value(), fedReg.Counter("jobs.done").Value(); e != g || e != 2*half {
+		t.Errorf("jobs.done: engine %g, federation %g, want %d", e, g, 2*half)
 	}
 }

@@ -98,6 +98,7 @@ type Store struct {
 
 	snapStop chan struct{}
 	snapDone chan struct{}
+	stopOnce sync.Once
 }
 
 type tenantAgg struct {
@@ -167,13 +168,14 @@ func New(cfg Config) *Store {
 }
 
 // Close stops the snapshot ticker (writing a final snapshot) if one is
-// running. Safe to call once.
+// running. Idempotent.
 func (s *Store) Close() error {
-	if s.snapStop == nil {
-		return nil
+	if s.snapStop != nil {
+		s.stopOnce.Do(func() {
+			close(s.snapStop)
+			<-s.snapDone
+		})
 	}
-	close(s.snapStop)
-	<-s.snapDone
 	return nil
 }
 

@@ -393,7 +393,7 @@ func buildConfig(o Options) (sim.Config, error) {
 }
 
 // plannerFor maps a Scheduler to its placement algorithm and job-ordering
-// policy — the single source of truth shared by Simulate and NewEngine.
+// policy — the single source of truth shared by Simulate and NewFederation.
 func plannerFor(s Scheduler, n int, check bool) (place.Placer, sched.Policy, error) {
 	switch s {
 	case SchedulerTetrium:
